@@ -63,7 +63,7 @@ BENCH_VERSION = 1
 BENCH_GLOB = "BENCH_*.json"
 
 #: The fields every workload record must carry — the on-disk schema
-#: contract checked by ``tools/check_docs.py`` against
+#: contract checked by the ``S-BENCH-DOC`` lint rule against
 #: ``docs/performance.md`` and by the perf-smoke CI job.
 BENCH_SCHEMA_FIELDS = (
     "workload",

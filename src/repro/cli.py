@@ -94,10 +94,9 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
         "--executor",
         choices=EXECUTOR_KINDS,
         default="auto",
-        help="shard executor: auto picks sequential at --jobs 1, a thread "
-        "pool for replayed corpora (decode and a warm store release the "
-        "GIL) and a process pool otherwise; results are byte-identical "
-        "for every choice",
+        help="shard executor: auto picks sequential at --jobs 1 and a "
+        "process pool otherwise; results are byte-identical for every "
+        "choice",
     )
     _add_impair_argument(parser)
 

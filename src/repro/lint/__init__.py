@@ -32,7 +32,6 @@ __all__ = [
     "ProjectRule",
     "Rule",
     "all_rules",
-    "doc_rules",
     "run_lint",
 ]
 
@@ -40,8 +39,3 @@ __all__ = [
 def all_rules() -> tuple[Rule, ...]:
     """Every registered rule, D then X then S."""
     return determinism.ALL + executor.ALL + sync.ALL
-
-
-def doc_rules() -> tuple[Rule, ...]:
-    """The docs-sync subset ``tools/check_docs.py`` runs."""
-    return sync.DOC_RULES

@@ -1,11 +1,11 @@
 """X family: executor- and IPC-safety rules.
 
-The sharded engine runs the same shard code under three executors
-(sequential, thread pool, process pool) and promises byte-identical
-results from all three.  These rules flag the patterns that break
-that promise: state shared through module globals or mutable
-defaults, caches that pin instances, payloads that pickle poorly,
-and packed-IPC transports that silently drop fields.
+The sharded engine runs the same shard code under two executors
+(sequential, process pool) and promises byte-identical results from
+both.  These rules flag the patterns that break that promise: state
+shared through module globals or mutable defaults, caches that pin
+instances, payloads that pickle poorly, and packed-IPC transports
+that silently drop fields.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class GlobalMutationRule(AstRule):
     severity = "error"
     summary = (
         "function rebinds a module global — invisible to process-pool "
-        "workers, racy under the thread pool"
+        "workers"
     )
     hint = (
         "thread state through arguments/return values, or move it onto "

@@ -3,10 +3,9 @@
 The repo keeps several registries that must agree with code that
 lives elsewhere: the profile stage schema, the argparse tree vs
 ``docs/cli.md``, the BENCH entry schema vs ``docs/performance.md``,
-and the named load/impairment profiles.  These rules are the old
-``tools/check_docs.py`` checks rebuilt as first-class lint rules —
-one analyzer, one report format, one exit code — plus an AST check
-that stage names used in the pipeline exist in the schema.
+and the named load/impairment profiles.  Five project rules check the
+docs (CI runs exactly those via ``repro lint --select``); an AST rule
+checks that stage names used in the pipeline exist in the schema.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ class StageNameRule(AstRule):
 
 
 # ----------------------------------------------------------------------
-# Docs rules (absorbed from tools/check_docs.py)
+# Docs rules
 # ----------------------------------------------------------------------
 
 MODULE_REF = re.compile(r"\brepro(?:\.[a-z_][a-z0-9_]*)+\b")
@@ -395,13 +394,11 @@ class MetricCatalogRule(ProjectRule):
                 )
 
 
-#: The docs-facing subset — what ``tools/check_docs.py`` runs.
-DOC_RULES = (
+ALL = (
+    StageNameRule(),
     DocReferenceRule(),
     CliReferenceRule(),
     NamedProfileRule(),
     BenchSchemaRule(),
     MetricCatalogRule(),
 )
-
-ALL = (StageNameRule(),) + DOC_RULES

@@ -4,8 +4,7 @@
   HAR/PCAP artifacts, and parse them back (steps 1–2);
 * :mod:`repro.pipeline.dataset` — the Table 1 dataset summary;
 * :mod:`repro.pipeline.engine` — the parallel sharded engine running
-  steps 1–3 per service (sequential, thread-pool or process-pool
-  executors);
+  steps 1–3 per service (sequential or process-pool executors);
 * :mod:`repro.pipeline.profile` — stage-level wall-time attribution
   for the audit hot path (``--profile-out`` / ``repro bench``);
 * :mod:`repro.pipeline.replay` — artifact replay: scan a captured
@@ -32,7 +31,6 @@ from repro.pipeline.engine import (
     SequentialExecutor,
     ShardResult,
     ShardTask,
-    ThreadPoolShardExecutor,
     executor_for,
     generate_corpus_artifacts,
     pack_shard_result,
@@ -74,7 +72,6 @@ __all__ = [
     "SequentialExecutor",
     "ShardResult",
     "ShardTask",
-    "ThreadPoolShardExecutor",
     "executor_for",
     "generate_corpus_artifacts",
     "pack_shard_result",

@@ -92,8 +92,8 @@ class DiffAudit:
     replay: ReplayCorpus | Path | str | None = None
     jobs: int = 1  # shard workers; 1 = sequential in-process
     # Executor kind for the shard stage: "auto" (sequential at jobs=1,
-    # thread pool for replayed corpora, process pool otherwise) or an
-    # explicit "sequential" / "thread" / "process" (``--executor``).
+    # process pool otherwise) or an explicit "sequential" / "process"
+    # (``--executor``).
     executor: str = "auto"
     # Persistent classification store directory (``--cache-dir``):
     # verdicts persist across runs and across worker processes, so a

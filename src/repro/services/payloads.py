@@ -149,6 +149,10 @@ BASE_KEYS: dict[Level3, tuple[str, ...]] = {
     ),
 }
 
+# Every category's base keys: an opaque key must never take one, or a
+# later category's registration of its own base key would collide.
+_ALL_BASE_KEYS = frozenset(key for bases in BASE_KEYS.values() for key in bases)
+
 # Industry-standard parameter names per category — the keys trackers
 # and SDKs document publicly (GA's ``cid``-style params, MMP payload
 # fields).  Used for coverage-critical flows: unambiguous to any
@@ -322,7 +326,7 @@ class PayloadFactory:
                     pool.append(variant)
             for _ in range(opaque_per_category):
                 key = self._opaque_key()
-                if key in self.registry.truth:
+                if key in self.registry.truth or key in _ALL_BASE_KEYS:
                     continue
                 self.registry.register(key, label, opaque=True)
                 pool.append(key)

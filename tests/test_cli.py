@@ -43,6 +43,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["audit", "--profile", "ludicrous"])
 
+    def test_thread_executor_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["audit", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_non_positive_jobs_rejected(self):
         for bad in ("0", "-2"):
             with pytest.raises(SystemExit):

@@ -17,7 +17,6 @@ from repro.pipeline.engine import (
     AuditEngine,
     ProcessPoolShardExecutor,
     SequentialExecutor,
-    ThreadPoolShardExecutor,
     executor_for,
     pack_shard_result,
     partition_costs,
@@ -370,51 +369,31 @@ class TestExecutorSelection:
 
     def test_explicit_kinds_honoured(self):
         assert isinstance(executor_for(2, "sequential"), SequentialExecutor)
-        thread = executor_for(2, "thread")
-        assert isinstance(thread, ThreadPoolShardExecutor)
-        assert thread.jobs == 2
         process = executor_for(2, "process")
         assert isinstance(process, ProcessPoolShardExecutor)
         assert process.jobs == 2
 
     def test_explicit_pools_allowed_at_one_job(self):
-        assert isinstance(executor_for(1, "thread"), ThreadPoolShardExecutor)
         assert isinstance(executor_for(1, "process"), ProcessPoolShardExecutor)
 
     def test_auto_is_sequential_at_one_job(self):
         assert isinstance(executor_for(1, "auto"), SequentialExecutor)
-        assert isinstance(
-            executor_for(1, "auto", replay=True), SequentialExecutor
-        )
 
-    def test_auto_prefers_threads_for_replay(self):
-        # Replayed corpora are decode I/O + store round-trips — both
-        # GIL-releasing — so auto picks the zero-serialization pool.
-        assert isinstance(
-            executor_for(4, "auto", replay=True), ThreadPoolShardExecutor
-        )
-        assert isinstance(
-            executor_for(4, "auto", replay=False), ProcessPoolShardExecutor
-        )
+    def test_auto_picks_process_pool_above_one_job(self):
+        for jobs in (2, 4):
+            pool = executor_for(jobs, "auto")
+            assert isinstance(pool, ProcessPoolShardExecutor)
+            assert pool.jobs == jobs
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            executor_for(2, "fibers")
-
-    def test_thread_pool_returns_results_in_input_order(self):
-        items = [_CostedItem(i, cost) for i, cost in enumerate([2, 8, 4, 6, 1])]
-        results = ThreadPoolShardExecutor(jobs=3).map_shards(
-            items, work=_echo_index
-        )
-        assert results == [0, 1, 2, 3, 4]
+        for kind in ("fibers", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                executor_for(2, kind)
 
     def test_pools_short_circuit_single_tasks(self):
         items = [_CostedItem(0, 1.0)]
-        for pool in (
-            ThreadPoolShardExecutor(jobs=4),
-            ProcessPoolShardExecutor(jobs=4),
-        ):
-            assert pool.map_shards(items, work=_echo_index) == [0]
+        pool = ProcessPoolShardExecutor(jobs=4)
+        assert pool.map_shards(items, work=_echo_index) == [0]
 
 
 class TestSlimTasks:
@@ -558,7 +537,7 @@ class TestExecutorParityMatrix:
         return cache_dir
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
     def test_cold_store_parity(self, executor, jobs, baseline, tmp_path):
         audit = DiffAudit(
             self.CONFIG, jobs=jobs, executor=executor, cache_dir=tmp_path
@@ -566,7 +545,7 @@ class TestExecutorParityMatrix:
         assert _result_bytes(audit.run()) == baseline
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
-    @pytest.mark.parametrize("executor", ["sequential", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["sequential", "process"])
     def test_warm_store_parity(self, executor, jobs, baseline, warm_cache_dir):
         audit = DiffAudit(
             self.CONFIG, jobs=jobs, executor=executor, cache_dir=warm_cache_dir

@@ -23,7 +23,7 @@ from textwrap import dedent
 import pytest
 
 from repro.cli import main as repro_main
-from repro.lint import all_rules, doc_rules, run_lint
+from repro.lint import all_rules, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.determinism import (
     UnseededRandomRule,
@@ -52,6 +52,8 @@ from repro.lint.sync import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The docs-sync rules the CI docs job runs via ``repro lint --select``.
+DOCS_RULE_IDS = "S-DOC-REF,S-CLI-DOC,S-PROFILE-DOC,S-BENCH-DOC,S-METRIC-DOC"
 
 
 def lint_snippet(tmp_path, code, rule, rel="src/mod.py"):
@@ -679,7 +681,10 @@ class TestSyncRules:
         assert result.findings == []
 
     def test_s_rules_clean_on_real_repo(self):
-        result = run_lint(REPO_ROOT, targets=[], rules=list(doc_rules()))
+        docs = set(DOCS_RULE_IDS.split(","))
+        rules = [rule for rule in all_rules() if rule.rule_id in docs]
+        assert len(rules) == len(docs)
+        result = run_lint(REPO_ROOT, targets=[], rules=rules)
         assert result.findings == []
 
 
@@ -961,16 +966,18 @@ class TestLintCli:
         assert json.loads(clean)["ok"] is True
 
 
-class TestCheckDocsWrapper:
-    def test_wrapper_runs_clean(self):
+class TestDocsLintSelect:
+    def test_docs_select_runs_clean(self):
+        import os
         import subprocess
         import sys
 
+        # The CI docs job's exact command line.
         completed = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "tools" / "check_docs.py")],
+            [sys.executable, "-m", "repro", "lint", "--select", DOCS_RULE_IDS],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
         )
-        assert completed.returncode == 0, completed.stderr
-        assert "docs ok" in completed.stdout
+        assert completed.returncode == 0, completed.stdout + completed.stderr

@@ -421,11 +421,8 @@ class TestTelemetryParity:
 
     @pytest.mark.parametrize(
         "extra",
-        [
-            ["--jobs", "2", "--executor", "thread"],
-            ["--jobs", "2", "--executor", "process"],
-        ],
-        ids=["thread", "process"],
+        [["--jobs", "2", "--executor", "process"]],
+        ids=["process"],
     )
     def test_audit_output_identical_with_telemetry_surfaced(
         self, tmp_path, plain_json, extra

@@ -125,6 +125,15 @@ class TestEngineParityOnGoldenCorpus:
         assert sequential == in_memory
         assert parallel == in_memory
 
+    def test_auto_replay_above_one_job_runs_on_process_pool(self, golden_corpus):
+        result, profile = DiffAudit(
+            GOLDEN_CONFIG, replay=golden_corpus, jobs=2
+        ).run_profiled()
+        assert profile["engine"]["executor"] == "process"
+        assert result_to_json(result) == result_to_json(
+            DiffAudit(GOLDEN_CONFIG).run()
+        )
+
 
 class TestIncrementalParityOnGoldenCorpus:
     """Cold == fully-warm == delta, byte for byte, on the pinned corpus.
@@ -154,7 +163,6 @@ class TestIncrementalParityOnGoldenCorpus:
         # reuse every unit and still serialize to the same bytes.
         for kwargs in (
             {"jobs": 1},
-            {"jobs": 2, "executor": "thread"},
             {"jobs": 2, "executor": "process"},
         ):
             warm, engine = self._run(golden_corpus, cache, **kwargs)

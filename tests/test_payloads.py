@@ -99,6 +99,16 @@ class TestFactory:
         value = factory.make_value(label, rng)
         assert value is not None
 
+    @pytest.mark.parametrize("seed", [52, 102, 163, 182])
+    def test_opaque_keys_never_take_a_base_key(self, seed):
+        # These seeds draw an opaque key equal to a later category's
+        # base key (geo, age, zip, lng); construction must not collide.
+        factory = PayloadFactory(seed=seed)
+        for label, bases in BASE_KEYS.items():
+            for base in bases:
+                assert factory.registry.truth[base] is label
+                assert base not in factory.registry.opaque
+
 
 class TestStableKeys:
     """The coverage-critical key contract: every stable key must stay
