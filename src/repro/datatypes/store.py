@@ -55,7 +55,10 @@ _CHUNK = 400
 # alters shard output for identical input bytes.  Rows recorded under
 # an older version are never served and are aged out by
 # ``prune_unit_results`` (``repro cache prune --unit-results``).
-UNIT_RESULT_SCHEMA = 1
+# Version 2: packed results ship their flow roll-ups (grid,
+# per-destination type sets, party map) instead of rebuilding them
+# from the observations on unpack.
+UNIT_RESULT_SCHEMA = 2
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS classifications (

@@ -11,7 +11,7 @@ per-destination data type sets for the linkability analysis.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from repro.destinations.party import PartyLabel
 from repro.model import FlowCell, Platform, Presence, TraceColumn
@@ -32,7 +32,7 @@ def cell_for(party: PartyLabel) -> FlowCell:
     return _CELL_FOR[party]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowObservation:
     """One observed data flow with its audit context."""
 
@@ -59,6 +59,49 @@ class FlowObservation:
         return (self.level3, self.fqdn)
 
 
+# Slot setters, in field order, for ``restore_observation``.
+(
+    _set_service,
+    _set_column,
+    _set_platform,
+    _set_level3,
+    _set_fqdn,
+    _set_esld,
+    _set_party,
+    _set_raw_key,
+) = (getattr(FlowObservation, f.name).__set__ for f in fields(FlowObservation))
+
+
+def restore_observation(
+    service: str,
+    column: TraceColumn,
+    platform: Platform,
+    level3: Level3,
+    fqdn: str,
+    esld: str,
+    party: PartyLabel,
+    raw_key: str,
+) -> FlowObservation:
+    """``FlowObservation(...)`` for field values an observation already had.
+
+    Fills the slots directly instead of through the frozen dataclass's
+    per-field ``object.__setattr__`` calls, which makes it cost about
+    half as much as the constructor.  Unpacking a cached unit result
+    revives tens of thousands of observations, so the difference
+    shows in a warm re-audit.
+    """
+    observation = object.__new__(FlowObservation)
+    _set_service(observation, service)
+    _set_column(observation, column)
+    _set_platform(observation, platform)
+    _set_level3(observation, level3)
+    _set_fqdn(observation, fqdn)
+    _set_esld(observation, esld)
+    _set_party(observation, party)
+    _set_raw_key(observation, raw_key)
+    return observation
+
+
 class FlowTable:
     """All flow observations of a corpus, with audit-ready roll-ups."""
 
@@ -66,9 +109,50 @@ class FlowTable:
         self._observations: list[FlowObservation] = []
         # (service, level2, column, cell) -> {platforms observed}
         self._grid: dict[tuple, set[Platform]] = defaultdict(set)
-        # (service, column, fqdn) -> {level3 types} for third parties
-        self._per_destination: dict[tuple, set[Level3]] = defaultdict(set)
+        # (service, column) -> {fqdn: {level3 types}} for third parties,
+        # fqdns in first-seen order
+        self._per_destination: dict[
+            tuple[str, TraceColumn], dict[str, set[Level3]]
+        ] = {}
         self._party_by_fqdn: dict[tuple[str, str], PartyLabel] = {}
+
+    def parts(self) -> tuple[list, dict, dict, dict]:
+        """The table's state: ``(observations, grid, per_destination,
+        party_by_fqdn)``.
+
+        The live structures, not copies — callers only read them.  With
+        :meth:`from_parts` this lets a table cross a process boundary
+        (or a cache) without re-deriving its roll-ups observation by
+        observation.
+        """
+        return (
+            self._observations,
+            self._grid,
+            self._per_destination,
+            self._party_by_fqdn,
+        )
+
+    @classmethod
+    def from_parts(
+        cls,
+        observations: list[FlowObservation],
+        grid: dict[tuple, set[Platform]],
+        per_destination: dict[tuple[str, TraceColumn], dict[str, set[Level3]]],
+        party_by_fqdn: dict[tuple[str, str], PartyLabel],
+    ) -> "FlowTable":
+        """Rebuild a table from :meth:`parts`; it takes ownership of them.
+
+        The roll-ups must be the ones :meth:`add` and
+        :meth:`register_party` derived from ``observations``, dict
+        insertion order included — then the table is indistinguishable
+        from one built by replaying the observations.
+        """
+        table = cls()
+        table._observations = observations
+        table._grid.update(grid)
+        table._per_destination = per_destination
+        table._party_by_fqdn = party_by_fqdn
+        return table
 
     def add(self, observation: FlowObservation) -> None:
         self._observations.append(observation)
@@ -81,9 +165,12 @@ class FlowTable:
             )
         ].add(observation.platform)
         if observation.party.is_third_party:
-            self._per_destination[
-                (observation.service, observation.column, observation.fqdn)
-            ].add(observation.level3)
+            destinations = self._per_destination.setdefault(
+                (observation.service, observation.column), {}
+            )
+            destinations.setdefault(observation.fqdn, set()).add(
+                observation.level3
+            )
         self._party_by_fqdn[(observation.service, observation.fqdn)] = observation.party
 
     def extend(self, observations: list[FlowObservation]) -> None:
@@ -113,8 +200,10 @@ class FlowTable:
         self._observations.extend(other._observations)
         for key, platforms in other._grid.items():
             self._grid[key].update(platforms)
-        for key, types in other._per_destination.items():
-            self._per_destination[key].update(types)
+        for key, destinations in other._per_destination.items():
+            mine = self._per_destination.setdefault(key, {})
+            for fqdn, types in destinations.items():
+                mine.setdefault(fqdn, set()).update(types)
         for observation in other._observations:
             self._party_by_fqdn[
                 (observation.service, observation.fqdn)
@@ -190,12 +279,14 @@ class FlowTable:
     def third_party_type_sets(
         self, service: str, column: TraceColumn
     ) -> dict[str, set[Level3]]:
-        """Per-third-party data type sets for one service and column."""
-        out: dict[str, set[Level3]] = {}
-        for (svc, col, fqdn), types in self._per_destination.items():
-            if svc == service and col == column:
-                out[fqdn] = set(types)
-        return out
+        """Per-third-party data type sets for one service and column,
+        fqdns in first-seen order."""
+        return {
+            fqdn: set(types)
+            for fqdn, types in self._per_destination.get(
+                (service, column), {}
+            ).items()
+        }
 
     def party_of(self, service: str, fqdn: str) -> PartyLabel | None:
         return self._party_by_fqdn.get((service, fqdn))

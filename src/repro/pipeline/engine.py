@@ -44,6 +44,7 @@ classifier, and results stay byte-identical either way.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 import multiprocessing
@@ -74,7 +75,7 @@ from repro.destinations.entities import EntityDatabase
 from repro.destinations.party import DestinationLabeler
 from repro.faults.plan import FAULTS_FIRED, FaultPlan
 from repro.flows.builder import FlowBuilder
-from repro.flows.dataflow import FlowObservation, FlowTable
+from repro.flows.dataflow import FlowTable, restore_observation
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import SpanRecorder
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
@@ -577,23 +578,25 @@ def process_shard(task: ShardTask) -> ShardResult:
 class PackedShardResult:
     """A :class:`ShardResult` flattened for cheap pickling.
 
-    A raw ``ShardResult`` pickles its :class:`FlowTable` roll-ups
-    (grid, per-destination sets, party map) alongside the observation
-    list they are derived from, and every observation as an object
-    with eight attribute slots.  The packed form interns every field
-    value — strings and enums alike — into one pool and encodes each
-    observation as eight pool indexes; roll-ups are dropped entirely
-    and rebuilt on unpack by replaying the observations through
-    :meth:`FlowTable.add`, exactly as :meth:`FlowTable.merge` would.
-    Unpacking is faithful by construction: party registrations replay
-    after the adds through ``register_party`` (setdefault semantics),
-    the same order merge uses.
+    A raw ``ShardResult`` pickles every observation as an object with
+    eight attribute slots.  The packed form interns every field value
+    — strings, enums and the roll-ups' platform and data type sets
+    alike — into one pool and encodes each observation as eight pool
+    indexes.  The :class:`FlowTable` roll-ups (grid, per-destination
+    type sets, party map) ship as index rows in the table's own
+    insertion order and are assigned back through
+    :meth:`FlowTable.from_parts` on unpack, so unpacking never
+    re-derives an observation's level-2 category, flow cell or party
+    kind.  A stored payload in this layout is
+    ``UNIT_RESULT_SCHEMA`` 2.
     """
 
     service: str
     pool: tuple
-    observations: tuple  # 8-index tuples into ``pool``
-    parties: tuple  # (service_i, fqdn_i, party_i) registrations
+    observations: tuple  # pool indexes in FlowObservation field order
+    grid: tuple  # (service_i, level2_i, column_i, cell_i, platforms_i)
+    destinations: tuple  # (service_i, column_i, fqdn_i, level3s_i)
+    parties: tuple  # (service_i, fqdn_i, party_i), party-map order
     contacted: tuple  # pool indexes, original iteration order
     raw_keys: tuple
     classified: tuple
@@ -616,22 +619,29 @@ class PackedShardResult:
 
     def unpack(self) -> ShardResult:
         pool = self.pool
-        flows = FlowTable()
-        for s, col, plat, lvl, fqdn, esld, party, raw in self.observations:
-            flows.add(
-                FlowObservation(
-                    service=pool[s],
-                    column=pool[col],
-                    platform=pool[plat],
-                    level3=pool[lvl],
-                    fqdn=pool[fqdn],
-                    esld=pool[esld],
-                    party=pool[party],
-                    raw_key=pool[raw],
-                )
+        observations = [
+            restore_observation(
+                pool[s],
+                pool[col],
+                pool[plat],
+                pool[lvl],
+                pool[fqdn],
+                pool[esld],
+                pool[party],
+                pool[raw],
             )
-        for s, fqdn, party in self.parties:
-            flows.register_party(pool[s], pool[fqdn], pool[party])
+            for s, col, plat, lvl, fqdn, esld, party, raw in self.observations
+        ]
+        grid = {
+            (pool[s], pool[level2], pool[col], pool[cell]): set(pool[platforms])
+            for s, level2, col, cell, platforms in self.grid
+        }
+        per_destination: dict = {}
+        for s, col, fqdn, types in self.destinations:
+            by_fqdn = per_destination.setdefault((pool[s], pool[col]), {})
+            by_fqdn[pool[fqdn]] = set(pool[types])
+        parties = {(pool[s], pool[f]): pool[p] for s, f, p in self.parties}
+        flows = FlowTable.from_parts(observations, grid, per_destination, parties)
         return ShardResult(
             service=self.service,
             flows=flows,
@@ -661,6 +671,7 @@ def pack_shard_result(result: ShardResult) -> PackedShardResult:
             indexes[value] = index
         return index
 
+    table_observations, grid, per_destination, parties = result.flows.parts()
     observations = tuple(
         (
             intern(o.service),
@@ -672,17 +683,36 @@ def pack_shard_result(result: ShardResult) -> PackedShardResult:
             intern(o.party),
             intern(o.raw_key),
         )
-        for o in result.flows.observations()
-    )
-    parties = tuple(
-        (intern(service), intern(fqdn), intern(party))
-        for (service, fqdn), party in result.flows._party_by_fqdn.items()
+        for o in table_observations
     )
     packed = PackedShardResult(
         service=result.service,
         pool=(),  # filled below, once the intern table is complete
         observations=observations,
-        parties=parties,
+        grid=tuple(
+            (
+                intern(service),
+                intern(level2),
+                intern(column),
+                intern(cell),
+                intern(frozenset(platforms)),
+            )
+            for (service, level2, column, cell), platforms in grid.items()
+        ),
+        destinations=tuple(
+            (
+                intern(service),
+                intern(column),
+                intern(fqdn),
+                intern(frozenset(types)),
+            )
+            for (service, column), by_fqdn in per_destination.items()
+            for fqdn, types in by_fqdn.items()
+        ),
+        parties=tuple(
+            (intern(service), intern(fqdn), intern(party))
+            for (service, fqdn), party in parties.items()
+        ),
         contacted=tuple(intern(host) for host in result.contacted),
         raw_keys=tuple(intern(key) for key in result.raw_keys),
         classified=tuple(intern(key) for key in result.classified),
@@ -1077,9 +1107,35 @@ def _worker_ignores_interrupt() -> None:
     CLI's SIGTERM→KeyboardInterrupt handler, which turns the parent's
     own teardown ``terminate()`` into per-worker traceback spew right
     under the one real error message.
+
+    On Linux the worker also asks the kernel to SIGKILL it when its
+    parent dies: a parent killed outright (SIGKILL, OOM) never runs
+    its teardown, and its workers would otherwise block on the call
+    queue forever.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if sys.platform.startswith("linux"):
+        _die_with_parent()
+
+
+# prctl(2) option: the signal the kernel sends a process when its
+# parent thread exits.
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent() -> None:
+    """Have the kernel SIGKILL this (Linux) process when its parent dies."""
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes = [ctypes.c_int, ctypes.c_ulong]
+    prctl.restype = ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        return  # no death signal to rely on; the worker behaves as before
+    parent = multiprocessing.parent_process()
+    if parent is not None and os.getppid() != parent.pid:
+        # The parent died before the prctl landed: the kernel will
+        # never send the signal, so act on it now.
+        os._exit(1)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from repro.pipeline.engine import (
     AuditEngine,
     ProcessPoolShardExecutor,
     SequentialExecutor,
+    ShardResult,
     executor_for,
     pack_shard_result,
     partition_costs,
@@ -435,6 +436,98 @@ class TestSlimTasks:
             assert task.blocklists is None
 
 
+def _rollup_table() -> FlowTable:
+    """A table exercising every party-map path the roll-ups must keep."""
+    table = FlowTable()
+    # Registered first, then overridden by an observed flow's label.
+    table.register_party("svc", "api.svc.com", PartyLabel.FIRST_PARTY)
+    table.add(
+        _observation(
+            fqdn="api.svc.com",
+            party=PartyLabel.FIRST_PARTY_ATS,
+            level3=Level3.NAME,
+        )
+    )
+    # Third-party destinations: two fqdns, two columns, two platforms.
+    table.add(_observation())
+    table.add(_observation(fqdn="cdn.other.com", party=PartyLabel.THIRD_PARTY))
+    table.add(_observation(level3=Level3.ALIASES, platform=Platform.MOBILE))
+    table.add(_observation(column=TraceColumn.CHILD, level3=Level3.NAME))
+    # Registered-only (opaque) contact: no flow, still in the census.
+    table.register_party("svc", "opaque.example.net", PartyLabel.THIRD_PARTY)
+    # Registration never overrides an observed label.
+    table.register_party("svc", "t.tracker.com", PartyLabel.FIRST_PARTY)
+    return table
+
+
+def _assert_same_table(revived: FlowTable, original: FlowTable) -> None:
+    assert revived.observations() == original.observations()
+    _, grid, per_destination, parties = revived.parts()
+    _, grid0, per_destination0, parties0 = original.parts()
+    assert grid == grid0
+    assert list(grid) == list(grid0)
+    assert per_destination == per_destination0
+    assert [
+        (key, list(by_fqdn)) for key, by_fqdn in per_destination.items()
+    ] == [(key, list(by_fqdn)) for key, by_fqdn in per_destination0.items()]
+    assert list(parties.items()) == list(parties0.items())
+
+
+class TestFlowTableParts:
+    def test_from_parts_round_trip(self):
+        original = _rollup_table()
+        observations, grid, per_destination, parties = original.parts()
+        revived = FlowTable.from_parts(
+            list(observations),
+            {key: set(value) for key, value in grid.items()},
+            {
+                key: {fqdn: set(types) for fqdn, types in by_fqdn.items()}
+                for key, by_fqdn in per_destination.items()
+            },
+            dict(parties),
+        )
+        _assert_same_table(revived, original)
+        party = revived.party_of
+        assert party("svc", "api.svc.com") is PartyLabel.FIRST_PARTY_ATS
+        assert party("svc", "t.tracker.com") is PartyLabel.THIRD_PARTY_ATS
+        assert party("svc", "opaque.example.net") is PartyLabel.THIRD_PARTY
+
+    def test_pack_unpack_round_trip(self):
+        original = _rollup_table()
+        result = ShardResult(
+            service="svc",
+            flows=original,
+            dataset=DatasetSummary(),
+            contacted={"api.svc.com", "opaque.example.net"},
+            raw_keys={"age"},
+            classified={"age"},
+        )
+        packed = pickle.loads(pickle.dumps(pack_shard_result(result)))
+        revived = packed.unpack().flows
+        _assert_same_table(revived, original)
+        assert revived.third_party_type_sets("svc", TraceColumn.ADULT) == {
+            "t.tracker.com": {Level3.AGE, Level3.ALIASES},
+            "cdn.other.com": {Level3.AGE},
+        }
+        # Unpacked tables fold exactly as the originals do.
+        reference = FlowTable()
+        reference.merge(original)
+        reference.merge(original)
+        merged = AuditEngine.merge([packed.unpack(), packed.unpack()]).flows
+        _assert_same_table(merged, reference)
+
+    def test_third_party_type_sets_reads_only_its_cell(self):
+        table = _rollup_table()
+        assert list(table.third_party_type_sets("svc", TraceColumn.ADULT)) == [
+            "t.tracker.com",
+            "cdn.other.com",
+        ]
+        assert table.third_party_type_sets("svc", TraceColumn.CHILD) == {
+            "t.tracker.com": {Level3.NAME}
+        }
+        assert table.third_party_type_sets("other", TraceColumn.ADULT) == {}
+
+
 class TestPackedShardResult:
     """The compact IPC transport must be faithful and actually compact."""
 
@@ -451,14 +544,9 @@ class TestPackedShardResult:
         assert (
             revived.flows.observations() == shard_result.flows.observations()
         )
-        # Roll-ups are rebuilt on unpack, not shipped — they must
-        # still come out identical to the originals.
-        assert revived.flows._grid == shard_result.flows._grid
-        assert (
-            revived.flows._per_destination
-            == shard_result.flows._per_destination
-        )
-        assert revived.flows._party_by_fqdn == shard_result.flows._party_by_fqdn
+        # Roll-ups ship alongside the observations and are assigned
+        # back, never re-derived — they must equal the originals.
+        _assert_same_table(revived.flows, shard_result.flows)
         assert revived.contacted == shard_result.contacted
         assert revived.raw_keys == shard_result.raw_keys
         assert revived.classified == shard_result.classified

@@ -25,6 +25,7 @@ import dataclasses
 import json
 import os
 import pickle
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -457,6 +458,72 @@ class TestSigkillResume:
         ])
         assert status == 0
         assert output.read_text() == clean_json
+
+
+def _process_states() -> dict[int, tuple[int, str]]:
+    """pid -> (parent pid, state letter) for every process in /proc."""
+    states: dict[int, tuple[int, str]] = {}
+    for stat in sorted(Path("/proc").glob("[0-9]*/stat")):
+        try:
+            text = stat.read_text()
+        # repro-lint: disable=X-SWALLOW — the process exited mid-scan, so it is gone, which is all the caller asks
+        except OSError:
+            continue
+        # The command name is parenthesised and may hold spaces.
+        fields = text[text.rindex(")") + 2:].split()
+        states[int(stat.parent.name)] = (int(fields[1]), fields[0])
+    return states
+
+
+def _live(pids: list[int]) -> list[int]:
+    """The ``pids`` still running (zombies count as gone)."""
+    states = _process_states()
+    return [pid for pid in pids if pid in states and states[pid][1] != "Z"]
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"),
+    reason="pool workers follow their parent down on Linux only",
+)
+class TestOrphanedWorkers:
+    def test_sigkilled_parent_takes_its_pool_workers_down(self, pristine_corpus):
+        command = [
+            sys.executable, "-m", "repro", "audit",
+            "--from-artifacts", str(pristine_corpus),
+            "--jobs", "2", "--executor", "process",
+            "--inject-faults", "slow-worker",  # keep the pool busy
+            "--json", "--output", os.devnull,
+        ]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        process = subprocess.Popen(
+            command, env=env, cwd=REPO_ROOT,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        workers: list[int] = []
+        try:
+            deadline = time.monotonic() + 120
+            while time.monotonic() < deadline and process.poll() is None:
+                workers = [
+                    pid
+                    for pid, (ppid, _) in _process_states().items()
+                    if ppid == process.pid
+                ]
+                if len(workers) >= 2:
+                    break
+                time.sleep(0.01)
+            assert len(workers) >= 2, "the audit never started its pool"
+            process.kill()
+            process.wait(timeout=60)
+            deadline = time.monotonic() + 5
+            while _live(workers) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _live(workers) == []
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            for pid in _live(workers):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,9 @@ Three layers of guarantees, each with its own test class:
 """
 
 import dataclasses
+import pickle
 import shutil
+import sqlite3
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,7 @@ from repro.datatypes.store import (
 )
 from repro.capture.base import TraceMeta
 from repro.model import AgeGroup, Platform, TraceKind
-from repro.pipeline.engine import generate_corpus_artifacts
+from repro.pipeline.engine import PackedShardResult, generate_corpus_artifacts
 from repro.pipeline.replay import (
     ReplayCorpus,
     ReplayError,
@@ -163,6 +165,32 @@ class _ShardSpy:
         monkeypatch.setattr(engine_module, "process_shard", spy)
 
 
+class _Schema1Layout:
+    """Pickles as a PackedShardResult holding only ``slots``."""
+
+    def __init__(self, slots: dict):
+        self.slots = slots
+
+    def __reduce__(self):
+        # A slotted object's default pickle state: (no __dict__, slots).
+        return (object.__new__, (PackedShardResult,), (None, self.slots))
+
+
+def _schema_1_payload(payload: bytes) -> bytes:
+    """A stored unit payload re-encoded as schema 1 wrote it: the same
+    packed result without the flow roll-up fields."""
+    packed = pickle.loads(payload)
+    return pickle.dumps(
+        _Schema1Layout(
+            {
+                f.name: getattr(packed, f.name)
+                for f in dataclasses.fields(packed)
+                if f.name not in ("grid", "destinations")
+            }
+        )
+    )
+
+
 def _audit(corpus: Path, cache: Path, **kwargs) -> tuple[str, dict]:
     result, profile = DiffAudit(
         CONFIG, replay=corpus, cache_dir=cache, **kwargs
@@ -231,7 +259,9 @@ class TestMutationInvalidation:
         cache = tmp_path / "cache"
         cold_json, cold_engine = _audit(pristine_corpus, cache)
         total = cold_engine["unit_misses"]
-        monkeypatch.setattr(store_module, "UNIT_RESULT_SCHEMA", 2)
+        monkeypatch.setattr(
+            store_module, "UNIT_RESULT_SCHEMA", store_module.UNIT_RESULT_SCHEMA + 1
+        )
         spy = _ShardSpy(monkeypatch)
         bumped_json, bumped_engine = _audit(pristine_corpus, cache)
         assert spy.calls == total  # one single-unit task per unit
@@ -240,6 +270,40 @@ class TestMutationInvalidation:
         assert bumped_json == cold_json
         # The old rows are now stale: invisible to lookups, counted
         # for (and removed by) prune.
+        with ClassificationStore(store_path_for(cache)) as store:
+            assert store.stats().stale_unit_results == total
+            assert store.prune_unit_results() == total
+            assert store.stats().stale_unit_results == 0
+            assert store.stats().total_unit_results == total
+
+    def test_schema_1_store_reaudits_as_all_misses(
+        self, pristine_corpus, tmp_path, monkeypatch
+    ):
+        cache = tmp_path / "cache"
+        cold_json, cold_engine = _audit(pristine_corpus, cache)
+        total = cold_engine["unit_misses"]
+        # Rewrite every row the way a store written before packed
+        # results carried their flow roll-ups holds it: schema 1, and
+        # a payload without the grid/destinations fields.
+        with sqlite3.connect(store_path_for(cache)) as conn:
+            rows = conn.execute(
+                "SELECT digest, epoch, service, payload FROM unit_results"
+            ).fetchall()
+        assert len(rows) == total
+        with ClassificationStore(store_path_for(cache)) as store:
+            store.delete_unit_results([digest for digest, *_ in rows])
+            for digest, epoch, service, payload in rows:
+                store.put_unit_results(
+                    epoch,
+                    [(digest, service, _schema_1_payload(payload))],
+                    schema_version=1,
+                )
+        spy = _ShardSpy(monkeypatch)
+        reaudit_json, reaudit_engine = _audit(pristine_corpus, cache)
+        assert spy.calls == total
+        assert reaudit_engine["unit_hits"] == 0
+        assert reaudit_engine["unit_misses"] == total
+        assert reaudit_json == cold_json
         with ClassificationStore(store_path_for(cache)) as store:
             assert store.stats().stale_unit_results == total
             assert store.prune_unit_results() == total
