@@ -11,7 +11,7 @@ per-destination data type sets for the linkability analysis.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.destinations.party import PartyLabel
 from repro.model import FlowCell, Platform, Presence, TraceColumn
@@ -59,49 +59,6 @@ class FlowObservation:
         return (self.level3, self.fqdn)
 
 
-# Slot setters, in field order, for ``restore_observation``.
-(
-    _set_service,
-    _set_column,
-    _set_platform,
-    _set_level3,
-    _set_fqdn,
-    _set_esld,
-    _set_party,
-    _set_raw_key,
-) = (getattr(FlowObservation, f.name).__set__ for f in fields(FlowObservation))
-
-
-def restore_observation(
-    service: str,
-    column: TraceColumn,
-    platform: Platform,
-    level3: Level3,
-    fqdn: str,
-    esld: str,
-    party: PartyLabel,
-    raw_key: str,
-) -> FlowObservation:
-    """``FlowObservation(...)`` for field values an observation already had.
-
-    Fills the slots directly instead of through the frozen dataclass's
-    per-field ``object.__setattr__`` calls, which makes it cost about
-    half as much as the constructor.  Unpacking a cached unit result
-    revives tens of thousands of observations, so the difference
-    shows in a warm re-audit.
-    """
-    observation = object.__new__(FlowObservation)
-    _set_service(observation, service)
-    _set_column(observation, column)
-    _set_platform(observation, platform)
-    _set_level3(observation, level3)
-    _set_fqdn(observation, fqdn)
-    _set_esld(observation, esld)
-    _set_party(observation, party)
-    _set_raw_key(observation, raw_key)
-    return observation
-
-
 class FlowTable:
     """All flow observations of a corpus, with audit-ready roll-ups."""
 
@@ -136,7 +93,7 @@ class FlowTable:
     def from_parts(
         cls,
         observations: list[FlowObservation],
-        grid: dict[tuple, set[Platform]],
+        grid: defaultdict[tuple, set[Platform]],
         per_destination: dict[tuple[str, TraceColumn], dict[str, set[Level3]]],
         party_by_fqdn: dict[tuple[str, str], PartyLabel],
     ) -> "FlowTable":
@@ -145,11 +102,13 @@ class FlowTable:
         The roll-ups must be the ones :meth:`add` and
         :meth:`register_party` derived from ``observations``, dict
         insertion order included — then the table is indistinguishable
-        from one built by replaying the observations.
+        from one built by replaying the observations.  ``grid`` must be
+        a ``defaultdict(set)``, as :meth:`add` and :meth:`merge` extend
+        it in place.
         """
         table = cls()
         table._observations = observations
-        table._grid.update(grid)
+        table._grid = grid
         table._per_destination = per_destination
         table._party_by_fqdn = party_by_fqdn
         return table

@@ -53,6 +53,7 @@ import pickle
 import signal
 import sys
 import time
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -75,7 +76,7 @@ from repro.destinations.entities import EntityDatabase
 from repro.destinations.party import DestinationLabeler
 from repro.faults.plan import FAULTS_FIRED, FaultPlan
 from repro.flows.builder import FlowBuilder
-from repro.flows.dataflow import FlowTable, restore_observation
+from repro.flows.dataflow import FlowObservation, FlowTable
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import SpanRecorder
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
@@ -620,7 +621,7 @@ class PackedShardResult:
     def unpack(self) -> ShardResult:
         pool = self.pool
         observations = [
-            restore_observation(
+            FlowObservation(
                 pool[s],
                 pool[col],
                 pool[plat],
@@ -632,10 +633,11 @@ class PackedShardResult:
             )
             for s, col, plat, lvl, fqdn, esld, party, raw in self.observations
         ]
-        grid = {
-            (pool[s], pool[level2], pool[col], pool[cell]): set(pool[platforms])
-            for s, level2, col, cell, platforms in self.grid
-        }
+        grid: defaultdict = defaultdict(set)
+        for s, level2, col, cell, platforms in self.grid:
+            grid[(pool[s], pool[level2], pool[col], pool[cell])] = set(
+                pool[platforms]
+            )
         per_destination: dict = {}
         for s, col, fqdn, types in self.destinations:
             by_fqdn = per_destination.setdefault((pool[s], pool[col]), {})
@@ -1111,7 +1113,9 @@ def _worker_ignores_interrupt() -> None:
     On Linux the worker also asks the kernel to SIGKILL it when its
     parent dies: a parent killed outright (SIGKILL, OOM) never runs
     its teardown, and its workers would otherwise block on the call
-    queue forever.
+    queue forever.  Under the forkserver start method the parent is
+    the fork server, which exits as soon as the audit process does,
+    so the workers still follow the audit down.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -1132,9 +1136,12 @@ def _die_with_parent() -> None:
     if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
         return  # no death signal to rely on; the worker behaves as before
     parent = multiprocessing.parent_process()
-    if parent is not None and os.getppid() != parent.pid:
-        # The parent died before the prctl landed: the kernel will
-        # never send the signal, so act on it now.
+    if parent is not None and not parent.is_alive():
+        # The audit died before the prctl landed: the kernel will never
+        # send the signal, so act on it now.  The audit's liveness is
+        # read from its sentinel pipe, not from getppid(): under the
+        # forkserver start method a worker's OS parent is the fork
+        # server, not the audit process.
         os._exit(1)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import pickle
+from collections import defaultdict
 
 import pytest
 
@@ -479,7 +480,7 @@ class TestFlowTableParts:
         observations, grid, per_destination, parties = original.parts()
         revived = FlowTable.from_parts(
             list(observations),
-            {key: set(value) for key, value in grid.items()},
+            defaultdict(set, {key: set(value) for key, value in grid.items()}),
             {
                 key: {fqdn: set(types) for fqdn, types in by_fqdn.items()}
                 for key, by_fqdn in per_destination.items()
@@ -491,6 +492,10 @@ class TestFlowTableParts:
         assert party("svc", "api.svc.com") is PartyLabel.FIRST_PARTY_ATS
         assert party("svc", "t.tracker.com") is PartyLabel.THIRD_PARTY_ATS
         assert party("svc", "opaque.example.net") is PartyLabel.THIRD_PARTY
+        # A revived table keeps growing like any other.
+        revived.add(_observation(column=TraceColumn.CHILD, platform=Platform.MOBILE))
+        original.add(_observation(column=TraceColumn.CHILD, platform=Platform.MOBILE))
+        _assert_same_table(revived, original)
 
     def test_pack_unpack_round_trip(self):
         original = _rollup_table()
@@ -515,6 +520,11 @@ class TestFlowTableParts:
         reference.merge(original)
         merged = AuditEngine.merge([packed.unpack(), packed.unpack()]).flows
         _assert_same_table(merged, reference)
+        # ...and keep growing like tables built observation by observation.
+        extra = _observation(column=TraceColumn.CHILD, platform=Platform.MOBILE)
+        revived.add(extra)
+        original.add(extra)
+        _assert_same_table(revived, original)
 
     def test_third_party_type_sets_reads_only_its_cell(self):
         table = _rollup_table()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
 import pickle
 import signal
@@ -481,19 +482,98 @@ def _live(pids: list[int]) -> list[int]:
     return [pid for pid in pids if pid in states and states[pid][1] != "Z"]
 
 
+def _descendants(root: int) -> list[int]:
+    """Every live process below ``root`` in the process tree."""
+    states = _process_states()
+    found: list[int] = []
+    frontier = [root]
+    while frontier:
+        parent = frontier.pop()
+        for pid, (ppid, state) in states.items():
+            if ppid == parent and state != "Z":
+                found.append(pid)
+                frontier.append(pid)
+    return found
+
+
+# ``python -m repro`` with the pool's multiprocessing start method
+# forced; argv[1] is the method, the rest is the CLI command line.
+_AUDIT_WITH_START_METHOD = (
+    "import multiprocessing, sys\n"
+    "multiprocessing.set_start_method(sys.argv[1])\n"
+    "from repro.cli import main\n"
+    "raise SystemExit(main(sys.argv[2:]))\n"
+)
+
+# Processes below the audit once its pool runs two workers: under
+# forkserver the fork server and the resource tracker sit there too.
+_POOL_TREE_SIZE = {"fork": 2, "forkserver": 4}
+
+
+def _audit_command(start_method: str, corpus: Path, *args: str) -> list[str]:
+    return [
+        sys.executable, "-c", _AUDIT_WITH_START_METHOD, start_method,
+        "audit", "--from-artifacts", str(corpus),
+        "--jobs", "2", "--executor", "process", *args,
+    ]
+
+
+def _start_methods(*methods: str) -> list:
+    available = multiprocessing.get_all_start_methods()
+    return [
+        pytest.param(
+            method,
+            marks=pytest.mark.skipif(
+                method not in available,
+                reason=f"no {method} start method on this platform",
+            ),
+        )
+        for method in methods
+    ]
+
+
+class TestPoolStartMethods:
+    """The pool must work whichever start method multiprocessing uses.
+
+    The worker initializer checks on the audit process; under
+    forkserver a worker's OS parent is the fork server instead, so a
+    check against ``getppid()`` would kill every worker at start-up.
+    """
+
+    @pytest.mark.parametrize("start_method", _start_methods("forkserver", "spawn"))
+    def test_jobs_2_audit_matches_sequential_bytes(
+        self, start_method, pristine_corpus, clean_json, tmp_path
+    ):
+        output = tmp_path / "audit.json"
+        completed = subprocess.run(
+            _audit_command(
+                start_method, pristine_corpus,
+                "--json", "--output", str(output),
+            ),
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert output.read_text() == clean_json
+
+
 @pytest.mark.skipif(
     not sys.platform.startswith("linux"),
     reason="pool workers follow their parent down on Linux only",
 )
 class TestOrphanedWorkers:
-    def test_sigkilled_parent_takes_its_pool_workers_down(self, pristine_corpus):
-        command = [
-            sys.executable, "-m", "repro", "audit",
-            "--from-artifacts", str(pristine_corpus),
-            "--jobs", "2", "--executor", "process",
+    @pytest.mark.parametrize("start_method", _start_methods("fork", "forkserver"))
+    def test_sigkilled_parent_takes_its_pool_workers_down(
+        self, start_method, pristine_corpus
+    ):
+        command = _audit_command(
+            start_method, pristine_corpus,
             "--inject-faults", "slow-worker",  # keep the pool busy
             "--json", "--output", os.devnull,
-        ]
+        )
         env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
         process = subprocess.Popen(
             command, env=env, cwd=REPO_ROOT,
@@ -503,15 +583,13 @@ class TestOrphanedWorkers:
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline and process.poll() is None:
-                workers = [
-                    pid
-                    for pid, (ppid, _) in _process_states().items()
-                    if ppid == process.pid
-                ]
-                if len(workers) >= 2:
+                workers = _descendants(process.pid)
+                if len(workers) >= _POOL_TREE_SIZE[start_method]:
                     break
                 time.sleep(0.01)
-            assert len(workers) >= 2, "the audit never started its pool"
+            assert len(workers) >= _POOL_TREE_SIZE[start_method], (
+                "the audit never started its pool"
+            )
             process.kill()
             process.wait(timeout=60)
             deadline = time.monotonic() + 5

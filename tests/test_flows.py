@@ -1,13 +1,12 @@
 """Unit tests for data flow construction and the flow table."""
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.destinations.party import DestinationLabeler, PartyLabel
 from repro.flows import FlowBuilder, FlowObservation, FlowTable, GroundTruthClassifier
-from repro.flows.dataflow import cell_for, restore_observation
+from repro.flows.dataflow import cell_for
 from repro.model import AgeGroup, FlowCell, Platform, Presence, TraceColumn, TraceKind
 from repro.net.http import Header, HttpRequest
 from repro.net.url import parse_url
@@ -56,17 +55,6 @@ class TestFlowObservation:
     def test_flow_pair_identity(self):
         pair = observation().flow_pair
         assert pair == (Level3.ALIASES, "ads.tracker.example")
-
-    def test_restore_equals_constructor(self):
-        original = observation()
-        restored = restore_observation(
-            *(getattr(original, f.name) for f in dataclasses.fields(original))
-        )
-        assert restored == original
-        assert hash(restored) == hash(original)
-        assert repr(restored) == repr(original)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            restored.fqdn = "elsewhere.example"
 
 
 class TestFlowTable:
