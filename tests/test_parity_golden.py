@@ -19,9 +19,26 @@ Regenerate the digest file only for an *intentional* generator change:
 ``PYTHONPATH=src python -m repro generate --output D --scale 0.002
 --profile light --seed 11 --services tiktok youtube`` then
 ``(cd D && sha256sum $(ls | sort)) > tests/data/golden_corpus.sha256``.
+
+The corpus digests pin the *inputs*; two more files pin the *outputs*,
+so a decode or audit change that shifts every path alike still shows
+up as a reviewed diff:
+
+* ``tests/data/golden_decode.sha256`` — for every mobile unit, clean
+  and under each impairment profile, the SHA-256 of its decode
+  fingerprint (requests with flow, timestamp and bytes; opaque
+  contacts; packet, flow and undecryptable counts);
+* ``tests/data/golden_audit.sha256`` — the SHA-256 of the golden
+  audit's ``result_to_json``.
+
+Rewrite both only for an intentional output change, after reviewing
+it: ``PYTHONPATH=src:tests python -m test_parity_golden``.
 """
 
 import hashlib
+import json
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -33,11 +50,15 @@ from repro.pipeline.corpus import parsed_trace_from_mobile
 from repro.pipeline.engine import generate_corpus_artifacts
 from repro.pipeline.replay import ReplayCorpus
 from repro.reporting.export import result_to_json
+from repro.stream.impair import IMPAIRMENT_PROFILES, impair_pcap, trace_impair_seed
 
 GOLDEN_CONFIG = CorpusConfig(
     seed=11, scale=0.002, profile="light", services=("tiktok", "youtube")
 )
-DIGEST_FILE = Path(__file__).parent / "data" / "golden_corpus.sha256"
+DATA_DIR = Path(__file__).parent / "data"
+DIGEST_FILE = DATA_DIR / "golden_corpus.sha256"
+DECODE_DIGEST_FILE = DATA_DIR / "golden_decode.sha256"
+AUDIT_DIGEST_FILE = DATA_DIR / "golden_audit.sha256"
 
 
 @pytest.fixture(scope="module")
@@ -47,12 +68,60 @@ def golden_corpus(tmp_path_factory) -> Path:
     return directory
 
 
-def _pinned_digests() -> dict[str, str]:
+def _pinned_digests(path: Path = DIGEST_FILE) -> dict[str, str]:
     digests = {}
-    for line in DIGEST_FILE.read_text(encoding="utf-8").splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         digest, _, name = line.strip().partition("  ")
         digests[name] = digest
     return digests
+
+
+def decode_fingerprint_digest(decryption) -> str:
+    """SHA-256 of everything one mobile decode recovers."""
+    document = {
+        "requests": [
+            [item.flow, repr(item.request.timestamp), item.request.to_bytes().hex()]
+            for item in decryption.requests
+        ],
+        "opaque": [
+            [contact.host, repr(contact.first_timestamp), contact.frame_count]
+            for contact in decryption.opaque
+        ],
+        "packet_count": decryption.packet_count,
+        "flow_count": decryption.flow_count,
+        "undecryptable_flows": decryption.undecryptable_flows,
+    }
+    encoded = json.dumps(document, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(encoded).hexdigest()
+
+
+def golden_decode_digests(corpus_dir: Path) -> dict[str, str]:
+    """``<unit>/<impairment profile>`` → decode fingerprint digest."""
+    digests = {}
+    for unit in ReplayCorpus.scan(corpus_dir).units:
+        if unit.pcap is None:
+            continue
+        keylog_text = unit.keylog.read_text(encoding="utf-8") if unit.keylog else ""
+        pcap = PcapFile.from_bytes(unit.pcap.read_bytes())
+        seed = trace_impair_seed(GOLDEN_CONFIG.seed, unit.meta.name)
+        for name, profile in sorted(IMPAIRMENT_PROFILES.items()):
+            blob = impair_pcap(pcap, profile, seed).to_bytes()
+            digests[f"{unit.meta.name}/{name}"] = decode_fingerprint_digest(
+                decrypt_mobile_artifact(blob, keylog_text)
+            )
+    return digests
+
+
+def golden_audit_digest(corpus_dir: Path) -> str:
+    audit = result_to_json(DiffAudit(GOLDEN_CONFIG, replay=corpus_dir).run())
+    return hashlib.sha256(audit.encode("utf-8")).hexdigest()
+
+
+def _write_digest_file(path: Path, digests: dict[str, str]) -> None:
+    path.write_text(
+        "".join(f"{digest}  {name}\n" for name, digest in sorted(digests.items())),
+        encoding="utf-8",
+    )
 
 
 class TestPinnedBytes:
@@ -69,6 +138,22 @@ class TestPinnedBytes:
             name for name, digest in actual.items() if expected[name] != digest
         )
         assert not mismatched, f"artifact bytes drifted: {mismatched}"
+
+
+class TestPinnedOutputs:
+    """Decode and audit outputs against digests recorded before the
+    batch decode walk was folded into the incremental decoder."""
+
+    def test_decode_fingerprints_match_pinned(self, golden_corpus):
+        expected = _pinned_digests(DECODE_DIGEST_FILE)
+        actual = golden_decode_digests(golden_corpus)
+        assert set(actual) == set(expected), "decoded unit/profile set changed"
+        mismatched = sorted(key for key, digest in actual.items() if expected[key] != digest)
+        assert not mismatched, f"decode output drifted: {mismatched}"
+
+    def test_audit_json_matches_pinned(self, golden_corpus):
+        expected = _pinned_digests(AUDIT_DIGEST_FILE)["audit.json"]
+        assert golden_audit_digest(golden_corpus) == expected
 
 
 class TestDecodeApiParity:
@@ -198,3 +283,14 @@ class TestIncrementalParityOnGoldenCorpus:
         # Byte parity with a from-scratch audit of the grown corpus.
         fresh = result_to_json(DiffAudit(GOLDEN_CONFIG, replay=corpus).run())
         assert delta == fresh
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        corpus_dir = Path(scratch)
+        generate_corpus_artifacts(GOLDEN_CONFIG, corpus_dir)
+        _write_digest_file(DECODE_DIGEST_FILE, golden_decode_digests(corpus_dir))
+        _write_digest_file(
+            AUDIT_DIGEST_FILE, {"audit.json": golden_audit_digest(corpus_dir)}
+        )
+    sys.exit(0)
