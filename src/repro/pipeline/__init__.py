@@ -38,7 +38,6 @@ from repro.pipeline.engine import (
 )
 from repro.pipeline.profile import (
     PROFILE_VERSION,
-    StageTimer,
     profile_document,
     validate_profile,
     write_profile,
@@ -77,7 +76,6 @@ __all__ = [
     "pack_shard_result",
     "process_shard",
     "PROFILE_VERSION",
-    "StageTimer",
     "profile_document",
     "validate_profile",
     "write_profile",

@@ -81,7 +81,6 @@ from repro.obs.metrics import REGISTRY
 from repro.obs.trace import SpanRecorder
 from repro.pipeline.corpus import CorpusProcessor, ParsedTrace
 from repro.pipeline.dataset import DatasetSummary
-from repro.pipeline.profile import StageTimer
 from repro.pipeline.replay import (
     ReplayCorpus,
     ReplayError,
@@ -441,8 +440,8 @@ def process_shard(task: ShardTask) -> ShardResult:
     ``ShardResult.stage_times``.
     """
     _apply_worker_faults(task)
-    timer = StageTimer()
-    with timer.stage("setup"):
+    timer = SpanRecorder()
+    with timer.span("setup"):
         classifier, entity_db, blocklists = resolve_task_stack(task)
         (spec,) = [
             s for s in task.config.service_specs() if s.key == task.service
@@ -489,15 +488,15 @@ def process_shard(task: ShardTask) -> ShardResult:
     else:
         source = iter(shard_trace_source(task))
     while True:
-        with timer.stage(source_stage):
+        with timer.span(source_stage):
             parsed = next(source, None)
         if parsed is None:
             break
         trace_count += 1
-        with timer.stage("dataset"):
+        with timer.span("dataset"):
             dataset.add_trace(parsed)
             contacted.update(parsed.contacted_hosts())
-        with timer.stage("extract"):
+        with timer.span("extract"):
             requests: list[tuple[str, list[str]]] = []
             trace_keys: list[str] = []
             for request in parsed.requests:
@@ -507,7 +506,7 @@ def process_shard(task: ShardTask) -> ShardResult:
                 requests.append((request.url.fqdn, keys))
                 trace_keys.extend(keys)
                 raw_keys.update(keys)
-        with timer.stage("label"):
+        with timer.span("label"):
             # Opaque flows still label their destinations (party/ATS
             # classification does not need plaintext).
             for host in parsed.opaque_hosts:
@@ -521,10 +520,10 @@ def process_shard(task: ShardTask) -> ShardResult:
     # One classification descent for the whole shard.  Equivalent to
     # per-trace priming, key for key (see prime_sequence), so cache
     # hit/miss arithmetic is unchanged.
-    with timer.stage("classify"):
+    with timer.span("classify"):
         builder.prime_sequence(key_lists)
 
-    with timer.stage("flow_build"):
+    with timer.span("flow_build"):
         for platform, kind, age, requests in trace_plans:
             for fqdn, keys in requests:
                 observations = builder.flows_for_destination(
@@ -541,7 +540,7 @@ def process_shard(task: ShardTask) -> ShardResult:
     # Register parties (and owners, for the census/alluvial lookups
     # downstream) for every contacted host so destination-only
     # (opaque) contacts count too.
-    with timer.stage("label"):
+    with timer.span("label"):
         owners: dict[str, str | None] = {}
         for host in contacted:
             label = labeler.label(host)
@@ -549,8 +548,8 @@ def process_shard(task: ShardTask) -> ShardResult:
             owners[host] = label.owner
 
     if persistent is not None:
-        timer.add("store_get", persistent.store_get_s - store_get_before)
-        timer.add("store_put", persistent.store_put_s - store_put_before)
+        timer.record("store_get", persistent.store_get_s - store_get_before)
+        timer.record("store_put", persistent.store_put_s - store_put_before)
 
     return ShardResult(
         service=task.service,
@@ -565,7 +564,7 @@ def process_shard(task: ShardTask) -> ShardResult:
         cache_misses=cache.misses - misses_before,
         store_hits=(persistent.store_hits - store_hits_before) if persistent else 0,
         store_misses=(persistent.misses - store_misses_before) if persistent else 0,
-        stage_times=timer.times,
+        stage_times=timer.totals,
         degraded=degraded,
     )
 
@@ -1623,7 +1622,7 @@ class AuditEngine:
         tasks: list[ShardTask],
         store: ClassificationStore,
         epoch: str,
-        timer: StageTimer,
+        timer: SpanRecorder,
     ) -> tuple[list[PackedShardResult | None], list[ShardTask], list[str]] | None:
         """Split replay tasks into cached unit results and dirty tasks.
 
@@ -1641,10 +1640,10 @@ class AuditEngine:
         dirty_digests: list[str] = []
         for task in tasks:
             units = task.replay_units or ()
-            with timer.stage("digest"):
+            with timer.span("digest"):
                 digests = [unit_digest(unit) for unit in units]
             try:
-                with timer.stage("store_get"):
+                with timer.span("store_get"):
                     found = store.get_unit_results(epoch, digests)
             except StoreError as exc:
                 print(
@@ -1689,7 +1688,7 @@ class AuditEngine:
         store: ClassificationStore,
         epoch: str,
         digests: list[str],
-        timer: StageTimer,
+        timer: SpanRecorder,
     ) -> Callable:
         """The per-unit write-through hook for ``map_shards(on_result=)``.
 
@@ -1720,7 +1719,7 @@ class AuditEngine:
                 # unit from cache did none of the work the snapshot
                 # describes.
                 packed = dataclasses.replace(packed, metrics=None)
-            with timer.stage("store_put"):
+            with timer.span("store_put"):
                 try:
                     store.put_unit_results(
                         epoch,
@@ -1803,11 +1802,9 @@ class AuditEngine:
             _invoke_on_result(flush, index, resolved[index])
         return resolved
 
-    def _stage_timer(self) -> StageTimer:
+    def _stage_timer(self) -> SpanRecorder:
         """A stage timer, mirroring its spans into ``span_sink``."""
-        if self.span_sink is None:
-            return StageTimer()
-        return StageTimer(SpanRecorder(sink=self.span_sink))
+        return SpanRecorder(sink=self.span_sink)
 
     def run(self) -> EngineOutput:
         timer = self._stage_timer()
@@ -1818,7 +1815,7 @@ class AuditEngine:
         dirty_digests: list[str] = []
         unit_store: ClassificationStore | None = None
         epoch = ""
-        with timer.stage("shard_setup"):
+        with timer.span("shard_setup"):
             executor = executor_for(self.jobs, self.executor)
             _RUNS.labels(executor.kind).inc()
             tasks = self.shard_tasks()
@@ -1864,7 +1861,7 @@ class AuditEngine:
             if unit_store is not None
             else None
         )
-        with timer.stage("execute"):
+        with timer.span("execute"):
             raw_results = executor.map_shards(tasks, work=work, on_result=flush)
         crash_degraded: list[DegradedUnit] = []
         if any(isinstance(raw, ShardCrash) for raw in raw_results):
@@ -1876,7 +1873,7 @@ class AuditEngine:
             # Results crossed the pool pickled; unpack (and measure
             # the IPC payloads) parent-side.  ``None`` slots are
             # fully-quarantined shards — nothing to unpack or merge.
-            with timer.stage("unpack"):
+            with timer.span("unpack"):
                 results = [
                     raw.unpack() if raw is not None else None
                     for raw in raw_results
@@ -1908,7 +1905,7 @@ class AuditEngine:
             # on what was cached.  A ``None`` fresh result is a
             # quarantined unit: it contributes nothing, exactly as if
             # the unit were absent from the corpus.
-            with timer.stage("unpack"):
+            with timer.span("unpack"):
                 dirty_iter = iter(results)
                 woven: list[ShardResult] = []
                 for cached in slots:
@@ -1921,16 +1918,16 @@ class AuditEngine:
                 results = woven
         else:
             results = [result for result in results if result is not None]
-        with timer.stage("merge"):
+        with timer.span("merge"):
             merged = self.merge(results)
         merged.degraded.extend(crash_degraded)
         _UNITS_CACHED.inc(unit_hits)
         _UNITS_DIRTY.inc(unit_misses)
         _DEGRADED_UNITS.inc(len(merged.degraded))
-        stages = StageTimer()
+        stages = SpanRecorder()
         for result in results:
             stages.merge(result.stage_times)
-        stages.merge(unit_stages.times)
+        stages.merge(unit_stages.totals)
         merged.unit_hits = unit_hits
         merged.unit_misses = unit_misses
         merged.profile = {

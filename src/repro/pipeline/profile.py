@@ -14,8 +14,7 @@ calls per trace, well under the cost of the stages themselves — so the
 profile can stay on permanently instead of being a special mode that
 measures an execution path nobody runs.
 
-Since the telemetry subsystem landed (:mod:`repro.obs`), the timer is
-a *view over spans*: every ``timer.stage("…")`` is a
+Stages are spans: the engine times each one with
 :meth:`repro.obs.trace.SpanRecorder.span`, so stage wall time also
 feeds the ``repro_spans_total`` / ``repro_span_seconds_total`` metrics
 and profile documents are one projection of the same span stream.
@@ -24,12 +23,10 @@ and profile documents are one projection of the same span stream.
 from __future__ import annotations
 
 import json
-from contextlib import AbstractContextManager
 from pathlib import Path
 from typing import Mapping
 
 from repro.fsutil import atomic_write_text
-from repro.obs.trace import SpanRecorder
 
 PROFILE_VERSION = 1
 
@@ -66,43 +63,6 @@ SHARD_STAGES = (
     "flow_build",
     "label",
 )
-
-
-class StageTimer:
-    """Accumulates wall time per named stage — a view over spans.
-
-    The historical profiling surface (``stage``/``add``/``merge``/
-    ``get``/``as_dict``/``times``) is unchanged; the implementation
-    delegates to a :class:`repro.obs.trace.SpanRecorder`, so every
-    timed stage is also a span and lands in the metrics registry.
-    Pass a recorder with ``retain_events=True`` to additionally keep
-    the per-span event stream for a ``--spans-out`` sidecar.
-    """
-
-    def __init__(self, recorder: SpanRecorder | None = None) -> None:
-        self.recorder = SpanRecorder() if recorder is None else recorder
-
-    @property
-    def times(self) -> dict[str, float]:
-        """The live name → accumulated-seconds table."""
-        return self.recorder.totals
-
-    def stage(self, name: str) -> "AbstractContextManager[None]":
-        return self.recorder.span(name)
-
-    def add(self, name: str, seconds: float) -> None:
-        self.recorder.record(name, seconds)
-
-    def merge(self, other: Mapping[str, float]) -> None:
-        """Fold another timer's (or shard's) stage table into this one."""
-        self.recorder.merge(other)
-
-    def get(self, name: str) -> float:
-        return self.recorder.get(name)
-
-    def as_dict(self) -> dict[str, float]:
-        """Stage table, rounded and sorted for stable JSON output."""
-        return self.recorder.as_dict()
 
 
 def profile_document(

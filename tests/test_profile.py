@@ -5,11 +5,12 @@ import json
 import pytest
 
 from repro import CorpusConfig, DiffAudit
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import SpanRecorder
 from repro.pipeline.profile import (
     ENGINE_PROFILE_FIELDS,
     PROFILE_VERSION,
     SHARD_STAGES,
-    StageTimer,
     profile_document,
     validate_profile,
     write_profile,
@@ -40,42 +41,47 @@ def _document(**overrides) -> dict:
 
 
 class TestStageTimer:
+    """A :class:`SpanRecorder` as the engine's stage timer."""
+
+    def timer(self) -> SpanRecorder:
+        return SpanRecorder(metrics=MetricsRegistry())
+
     def test_stage_accumulates_wall_time(self):
-        timer = StageTimer()
-        with timer.stage("generate"):
+        timer = self.timer()
+        with timer.span("generate"):
             pass
-        with timer.stage("generate"):
+        with timer.span("generate"):
             pass
         assert timer.get("generate") >= 0.0
-        assert set(timer.times) == {"generate"}
+        assert set(timer.totals) == {"generate"}
 
     def test_stage_records_on_exception(self):
-        timer = StageTimer()
+        timer = self.timer()
         with pytest.raises(RuntimeError):
-            with timer.stage("classify"):
+            with timer.span("classify"):
                 raise RuntimeError("boom")
-        assert "classify" in timer.times
+        assert "classify" in timer.totals
 
     def test_add_and_get(self):
-        timer = StageTimer()
-        timer.add("decode", 0.5)
-        timer.add("decode", 0.25)
+        timer = self.timer()
+        timer.record("decode", 0.5)
+        timer.record("decode", 0.25)
         assert timer.get("decode") == pytest.approx(0.75)
         assert timer.get("absent") == 0.0
 
     def test_merge_folds_stage_tables(self):
-        left, right = StageTimer(), StageTimer()
-        left.add("extract", 1.0)
-        right.add("extract", 0.5)
-        right.add("label", 0.1)
-        left.merge(right.times)
+        left, right = self.timer(), self.timer()
+        left.record("extract", 1.0)
+        right.record("extract", 0.5)
+        right.record("label", 0.1)
+        left.merge(right.totals)
         assert left.get("extract") == pytest.approx(1.5)
         assert left.get("label") == pytest.approx(0.1)
 
     def test_as_dict_is_sorted_and_rounded(self):
-        timer = StageTimer()
-        timer.add("label", 0.123456789)
-        timer.add("decode", 1.0)
+        timer = self.timer()
+        timer.record("label", 0.123456789)
+        timer.record("decode", 1.0)
         table = timer.as_dict()
         assert list(table) == ["decode", "label"]
         assert table["label"] == 0.123457
