@@ -1,8 +1,9 @@
 """Decode throughput: archived PCAPs → plaintext HTTP requests.
 
 Times the cold decode path in isolation — PCAP record walk, frame
-parsing, TCP reassembly, TLS decryption, HTTP stream parsing — over
-the session-shared generated corpus, through both read APIs:
+parsing, TCP reassembly, TLS decryption, HTTP stream parsing, all
+through the incremental decoder fed to EOF — over the session-shared
+generated corpus, through both read APIs:
 
 * **streaming** — raw bytes through :class:`repro.net.pcap.PcapReader`
   (the zero-copy path the pipeline uses);

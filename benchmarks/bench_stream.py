@@ -1,11 +1,12 @@
-"""Streaming audit throughput and parity: batch vs streamed-to-EOF.
+"""Streaming decode throughput and parity: eviction vs none.
 
-Times the incremental decode path (packet-at-a-time reassembly → TLS
-→ HTTP with the default eviction policy) against the batch decoder
-over the session-shared generated corpus, and asserts — not assumes —
-that streaming a capture to EOF recovers identical results, while
-reporting the decoder's buffering high-water mark (the bounded-memory
-half of the trade).
+There is one decoder.  This times it under the default eviction
+policy (what ``repro stream`` runs) against
+``decrypt_mobile_artifact`` — the same decoder fed to EOF with no
+eviction — over the session-shared generated corpus, and asserts —
+not assumes — that eviction leaves every capture's results unchanged,
+while reporting the decoder's buffering high-water mark (the
+bounded-memory half of the trade).
 
 Runs under pytest or standalone
 (``python benchmarks/bench_stream.py [--quick]``).

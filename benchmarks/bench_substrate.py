@@ -25,7 +25,7 @@ def test_perf_tcp_segment_and_reassemble(benchmark):
         reassembler = TcpReassembler()
         for frame in frames:
             reassembler.add_frame(frame)
-        return reassembler.flows()[0].data
+        return reassembler.pop_flow(FLOW).data
 
     assert benchmark(round_trip) == payload
 

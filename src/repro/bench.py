@@ -192,11 +192,11 @@ def _decode_workload(scale: float, profile: str, repeats: int) -> dict:
 
 
 def _stream_workload(scale: float, profile: str, repeats: int) -> dict:
-    """Streaming decode: the same corpus as ``decode``, one packet at
-    a time through the incremental reassembly → TLS → HTTP pipeline
-    with the default eviction policy.  Holds the streaming path's
-    throughput against the batch decoder's, with per-workload peak RSS
-    showing the bounded-memory trade."""
+    """Streaming decode: the same corpus and the same incremental
+    decoder as ``decode``, fed one packet at a time under the default
+    eviction policy instead of none.  Holds eviction's cost against
+    ``decode``, with per-workload peak RSS showing the bounded-memory
+    trade."""
     from repro.net.pcap import PcapReader
     from repro.net.tls import KeyLog
     from repro.stream.incremental import IncrementalTraceDecoder

@@ -9,26 +9,31 @@ missing (certificate-pinned) surface as *opaque contacts*: destination
 (from the SNI) and frame count only — the paper keeps encrypted
 traffic in its packet/domain accounting (§3.1.1).
 
-Decoding is streaming and zero-copy: raw bytes (or an mmap-backed
-on-disk file, via a :class:`~repro.net.pcap.PcapReader`) are walked
-record by record, each frame's TCP payload is a view into the capture
-buffer, and payload bytes are copied exactly once — into the flow
-reassembly buffer.  Passing an eager :class:`~repro.net.pcap.PcapFile`
-still works and takes the identical code path over its in-memory
-packets, which is what the streaming-vs-eager parity tests pin down.
+There is one decoder: :func:`decrypt_mobile_artifact` feeds the
+capture packet by packet to
+:class:`~repro.stream.incremental.IncrementalTraceDecoder` and
+finishes it at EOF, under a policy that never evicts a flow early.
+Raw bytes (or an mmap-backed on-disk file, via a
+:class:`~repro.net.pcap.PcapReader`) are walked record by record, and
+each frame's TCP payload is a view into the capture buffer until
+reassembly copies it.  An eager :class:`~repro.net.pcap.PcapFile` is
+walked over its in-memory packets instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
-from repro.net.http import HttpRequest, parse_request_stream
-from repro.net.packet import PacketError, parse_tcp_segment
+from repro.net.http import HttpRequest
 from repro.net.pcap import PcapFile, PcapReader
-from repro.net.tcp import TcpReassembler
-from repro.net.tls import KeyLog, TlsError, decrypt_stream, looks_like_tls, unwrap_hello
+from repro.net.tls import KeyLog
+
+# Entry points perfbench/tracing.py still resolves in this module; the
+# decode itself runs through repro.stream.incremental.
+from repro.net.http import parse_request_stream  # noqa: F401
+from repro.net.packet import parse_tcp_segment  # noqa: F401
+from repro.net.tls import decrypt_stream, unwrap_hello  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -69,82 +74,23 @@ def decrypt_mobile_artifact(
     filesystem path (memory-mapped, never fully read into Python
     bytes), or an eager :class:`PcapFile`.
     """
+    # The stream package builds on the batch pipeline, which imports
+    # this module, so the decoder is imported when first needed.
+    from repro.stream.incremental import NO_EVICTION, IncrementalTraceDecoder
+
     if isinstance(keylog, str):
         keylog = KeyLog.from_text(keylog)
+    decoder = IncrementalTraceDecoder(keylog, NO_EVICTION)
     if isinstance(pcap, (str, Path)):
         with PcapReader.open(pcap) as reader:
-            return _decrypt_packets(
-                ((r.timestamp, r.data) for r in reader.iter_packets()), keylog
-            )
+            return _feed_to_eof(decoder, reader.iter_packets())
     if isinstance(pcap, PcapFile):
-        return _decrypt_packets(
-            ((p.timestamp, p.data) for p in pcap.packets), keylog
-        )
-    reader = PcapReader(pcap)
-    return _decrypt_packets(
-        ((r.timestamp, r.data) for r in reader.iter_packets()), keylog
-    )
+        return _feed_to_eof(decoder, pcap.packets)
+    return _feed_to_eof(decoder, PcapReader(pcap).iter_packets())
 
 
-def _decrypt_packets(
-    packets: Iterable[tuple[float, "bytes | memoryview"]], keylog: KeyLog
-) -> MobileDecryption:
-    """The shared streaming core: frames → flows → TLS → HTTP."""
-    result = MobileDecryption()
-    reassembler = TcpReassembler()
-    frame_counts: dict[str, int] = {}
-    packet_count = 0
-    for timestamp, data in packets:
-        packet_count += 1
-        try:
-            segment = parse_tcp_segment(data, timestamp=timestamp)
-        # repro-lint: disable=X-SWALLOW — non-TCP noise is skipped by design, as Wireshark display filters would
-        except PacketError:
-            continue
-        reassembler.add_segment(segment)
-        key = "%s:%d->%s:%d" % segment.flow_key
-        frame_counts[key] = frame_counts.get(key, 0) + 1
-    result.packet_count = packet_count
-
-    flows = reassembler.flows()
-    result.flow_count = len(flows)
-    for flow in flows:
-        flow_id = str(flow.flow)
-        if not flow.data:
-            continue
-        if not looks_like_tls(flow.data):
-            # Plaintext HTTP straight off the wire (rare, port 80).
-            for request in parse_request_stream(
-                flow.data, scheme="http", timestamp=flow.first_timestamp
-            ):
-                result.requests.append(DecryptedRequest(request=request, flow=flow_id))
-            continue
-        try:
-            hello, records = unwrap_hello(flow.data)
-        except TlsError:
-            result.undecryptable_flows += 1
-            continue
-        if hello is None:
-            result.undecryptable_flows += 1
-            continue
-        session = keylog.lookup(hello.client_random)
-        if session is None:
-            result.undecryptable_flows += 1
-            result.opaque.append(
-                OpaqueContact(
-                    host=hello.sni,
-                    first_timestamp=flow.first_timestamp,
-                    frame_count=frame_counts.get(flow_id, 0),
-                )
-            )
-            continue
-        try:
-            plaintext = decrypt_stream(records, session)
-        except TlsError:
-            result.undecryptable_flows += 1
-            continue
-        for request in parse_request_stream(
-            plaintext, scheme="https", timestamp=flow.first_timestamp
-        ):
-            result.requests.append(DecryptedRequest(request=request, flow=flow_id))
-    return result
+def _feed_to_eof(decoder, packets) -> MobileDecryption:
+    feed = decoder.feed
+    for packet in packets:
+        feed(packet.timestamp, packet.data)
+    return decoder.finish()

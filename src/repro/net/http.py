@@ -143,13 +143,16 @@ def scan_request_stream(
 ) -> tuple[list[HttpRequest], int, bool]:
     """Walk as many complete requests as ``data`` currently holds.
 
-    The incremental-feed core shared by :func:`parse_request_stream`
-    and the streaming decoder: returns ``(requests, consumed,
-    broken)`` where ``consumed`` is how many bytes of complete
-    requests were parsed (an incremental caller drops that prefix and
-    retries when more bytes arrive) and ``broken`` means a head failed
-    to parse — the batch walker stops for good at that point, so
-    incremental callers must stop emitting too.  Requests carry
+    Connection reuse puts several requests back to back on one TCP
+    flow; this walks the stream using Content-Length framing, parsing
+    each head once and slicing bodies straight out of the stream.
+    Returns ``(requests, consumed, broken)``: ``consumed`` is how many
+    bytes of complete requests were parsed (an incremental caller
+    drops that prefix and retries when more bytes arrive; a truncated
+    trailing request that never completes is dropped, as
+    Wireshark-based pipelines do on incomplete flows), and ``broken``
+    means a head failed to parse — the walk stops for good there, so
+    callers must stop emitting too.  Requests carry
     ``timestamp=0.0``; callers stamp them.
     """
     requests: list[HttpRequest] = []
@@ -207,14 +210,7 @@ def pending_request_need(data) -> int:
 def parse_request_stream(
     data: bytes, scheme: str = "https", timestamp: float = 0.0
 ) -> list[HttpRequest]:
-    """Parse a pipelined client→server byte stream into requests.
-
-    Connection reuse puts several requests back to back on one TCP
-    flow; this walks the stream using Content-Length framing, parsing
-    each head once and slicing bodies straight out of the stream.  A
-    trailing partial request (truncated capture) is dropped, matching
-    how Wireshark-based pipelines behave on incomplete flows.
-    """
+    """The complete requests of a finished stream, stamped ``timestamp``."""
     requests, _, _ = scan_request_stream(data, scheme=scheme)
     for request in requests:
         request.timestamp = timestamp

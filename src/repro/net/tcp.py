@@ -9,6 +9,7 @@ paper's per-service TCP-flow accounting (Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.net.packet import (
     EthernetHeader,
@@ -35,9 +36,14 @@ _CONSUMED_LIMIT = 65536
 _CONSUMED_WINDOW = 1 << 24  # 16 MiB of stream
 
 
-@dataclass(frozen=True)
-class FlowId:
-    """Canonical (client → server) flow identity."""
+class FlowId(NamedTuple):
+    """Canonical (client → server) flow identity.
+
+    A tuple equal to (and hashing like) the segment's
+    :attr:`~repro.net.packet.TcpSegment.flow_key`, so per-packet code
+    looks flows up by that plain key and builds a ``FlowId`` once per
+    flow.
+    """
 
     client_ip: str
     client_port: int
@@ -130,6 +136,7 @@ def segment_request(
 
 @dataclass
 class _FlowState:
+    flow: FlowId
     isn: int | None = None
     # seq -> payload for segments *beyond* the compacted prefix; values
     # may be zero-copy views into the capture buffer (they are copied
@@ -137,17 +144,15 @@ class _FlowState:
     segments: dict[int, "bytes | memoryview"] = field(default_factory=dict)
     first_timestamp: float = 0.0
     finished: bool = False
-    # Contiguous prefix already compacted out of ``segments``.  Batch
-    # callers never drain it, so ``flows()`` sees the whole stream;
-    # streaming callers hand it downstream via ``drain_ready`` and
-    # release the memory long before the flow ends.
+    # Contiguous prefix already compacted out of ``segments``, held
+    # until ``drain_ready`` hands it downstream or ``pop_flow`` ends
+    # the flow.
     assembled: bytearray = field(default_factory=bytearray)
     expected: int | None = None  # next seq after the compacted prefix
-    drained: int = 0  # bytes already handed out via drain_ready
     pending: int = 0  # payload bytes currently held in ``segments``
-    # Seq keys whose first copy was already compacted away.  Keeps the
-    # incremental path byte-identical to the batch walk, which keeps
-    # the *first* copy of a seq and drops later (even longer) ones.
+    # Seq keys whose first copy was already compacted away, so a later
+    # copy of the same seq (even a longer one) is still dropped: the
+    # first copy of a seq wins.
     consumed: set[int] = field(default_factory=set)
     last_activity: float = 0.0  # stream time of the last segment
     lru_tick: int = 0  # arrival counter, for LRU eviction
@@ -172,29 +177,27 @@ class TcpReassembler:
     rather than raising — real traces are messy and the paper includes
     undecryptable/partial traffic in its counts.
 
-    The reassembler is usable two ways, with byte-identical results:
-
-    * **batch** — feed everything, then :meth:`flows` assembles each
-      stream once (the original API, still what the batch decode path
-      uses);
-    * **incremental** — after each :meth:`add_segment`, the newly
-      contiguous prefix of the segment's flow is available from
-      :meth:`drain_ready` (and is *released* from the reassembler, so
-      memory holds only out-of-order segments and undrained bytes);
-      :meth:`pop_flow` finalizes one flow — remaining segments are
-      walked with exactly the batch trimming/hole rules — and forgets
-      it.  :meth:`buffered_bytes`, :meth:`idle_flows` and
-      :meth:`lru_flow` support the streaming session's idle-timeout +
-      byte-budget eviction.
-
-    The two paths agree because compaction applies the same
-    first-copy-wins / overlap-trim rules the batch walk applies, in
-    the same seq order; the one assumption is a single ISN per flow
+    After each :meth:`add_segment`, the newly contiguous prefix of the
+    segment's flow is available from :meth:`drain_ready` (and is
+    *released* from the reassembler, so memory holds only out-of-order
+    segments and undrained bytes).  :meth:`pop_flow` finalizes one flow
+    — remaining segments are walked in seq order with the same
+    first-copy-wins / overlap-trim rules, holes jumped — and forgets
+    it; without draining, it returns the whole stream.  :meth:`flows`
+    shows every flow that way without finalizing any.
+    :meth:`buffered_bytes`, :meth:`idle_flows` and :meth:`lru_flow`
+    support the streaming decoder's idle-timeout + byte-budget
+    eviction.  Draining as segments arrive and popping once at the end
+    give the same bytes; the one assumption is a single ISN per flow
     (a duplicated SYN is fine, a *conflicting* one is degenerate).
+
+    Flows are keyed by the segment's plain ``flow_key`` tuple (a
+    :class:`FlowId` compares equal to it), so the per-segment path
+    builds no ``FlowId``.
     """
 
     def __init__(self) -> None:
-        self._flows: dict[FlowId, _FlowState] = {}
+        self._flows: dict[tuple[str, int, str, int], _FlowState] = {}
         self._buffered = 0  # payload bytes held across all flows
         self._tick = 0  # arrival counter for LRU bookkeeping
 
@@ -216,13 +219,11 @@ class TcpReassembler:
     def add_segment(self, segment: TcpSegment) -> None:
         """Feed one decode-path :class:`TcpSegment` (the hot path)."""
         _SEGMENTS.inc()
-        flow = FlowId(
-            client_ip=segment.src_ip,
-            client_port=segment.src_port,
-            server_ip=segment.dst_ip,
-            server_port=segment.dst_port,
-        )
-        state = self._flows.setdefault(flow, _FlowState())
+        key = segment.flow_key
+        state = self._flows.get(key)
+        if state is None:
+            flow = FlowId(*key)
+            state = self._flows[flow] = _FlowState(flow)
         if not state.segments and state.isn is None and not state.assembled:
             state.first_timestamp = segment.timestamp
         state.first_timestamp = min(
@@ -241,13 +242,13 @@ class TcpReassembler:
             state.finished = True
         if segment.payload:
             if segment.seq in state.segments or segment.seq in state.consumed:
-                return  # duplicate seq: the first copy wins, as in batch
+                return  # duplicate seq: the first copy wins
             if state.expected is not None and (
                 segment.seq + len(segment.payload) <= state.expected
             ):
-                # Entirely covered by the compacted prefix — the batch
-                # walk would trim it to nothing; remember the seq so a
-                # later same-seq copy is still treated as a duplicate.
+                # Entirely covered by the compacted prefix — it trims
+                # to nothing; remember the seq so a later same-seq copy
+                # is still treated as a duplicate.
                 state.consumed.add(segment.seq)
                 return
             state.segments[segment.seq] = segment.payload
@@ -259,10 +260,10 @@ class TcpReassembler:
     def _compact(self, state: _FlowState) -> None:
         """Move the contiguous in-order prefix into ``assembled``.
 
-        Applies exactly the batch walk's rules — first copy wins,
-        overlaps trimmed against ``expected`` — but never jumps a
-        hole: bytes past a gap wait in ``segments`` until the gap
-        fills or the flow is finalized.
+        Applies the reassembly rules — first copy wins, overlaps
+        trimmed against ``expected`` — but never jumps a hole: bytes
+        past a gap wait in ``segments`` until the gap fills or the flow
+        is finalized.
         """
         if state.expected is None:
             return
@@ -290,32 +291,27 @@ class TcpReassembler:
             horizon = state.expected - _CONSUMED_WINDOW
             state.consumed = {seq for seq in state.consumed if seq >= horizon}
 
-    # -- batch API -------------------------------------------------------
-
     def flows(self) -> list[ReassembledFlow]:
-        """Reassemble every tracked flow in first-seen order."""
-        out: list[ReassembledFlow] = []
-        for flow, state in self._flows.items():
-            tail, complete = self._tail(state)
-            out.append(
-                ReassembledFlow(
-                    flow=flow,
-                    data=bytes(state.assembled) + tail,
-                    first_timestamp=state.first_timestamp,
-                    complete=complete and state.finished,
-                )
-            )
-        return out
+        """Every tracked flow's undrained stream, in first-seen order,
+        without finalizing any of them."""
+        return [self._reassembled(state) for state in self._flows.values()]
+
+    def _reassembled(self, state: _FlowState) -> ReassembledFlow:
+        tail, complete = self._tail(state)
+        return ReassembledFlow(
+            flow=state.flow,
+            data=bytes(state.assembled) + tail,
+            first_timestamp=state.first_timestamp,
+            complete=complete and state.finished,
+        )
 
     @staticmethod
     def _tail(state: _FlowState) -> tuple[bytes, bool]:
         """Assemble everything past the compacted prefix — O(n log n).
 
         The finalize-time walk: remaining out-of-order segments are
-        visited in seq order with the batch trimming rules, and holes
-        are jumped (marking the flow incomplete) exactly as the
-        original single-shot ``_assemble`` did.  Non-destructive, so
-        ``flows()`` stays idempotent.
+        visited in seq order with the same trimming rules, and holes
+        are jumped (marking the flow incomplete).
         """
         if not state.segments:
             return b"", True
@@ -340,22 +336,20 @@ class TcpReassembler:
             expected = seq + len(data)
         return bytes(buffer), complete
 
-    # -- incremental API -------------------------------------------------
-
-    def drain_ready(self, flow: FlowId) -> bytes:
+    def drain_ready(self, flow: FlowId) -> "bytearray | bytes":
         """Take (and release) a flow's newly contiguous bytes.
 
-        Returns ``b""`` when nothing new is contiguous.  Drained bytes
-        leave the reassembler entirely — a later :meth:`pop_flow`
-        returns only what arrived after the drain — so the caller owns
-        feeding them onward in order.
+        Returns ``b""`` when nothing new is contiguous, else the
+        flow's reassembly buffer itself, handed over rather than
+        copied: the caller owns it.  A later :meth:`pop_flow` returns
+        only what arrived after the drain, so the caller owns feeding
+        drained bytes onward in order.
         """
         state = self._flows.get(flow)
         if state is None or not state.assembled:
             return b""
-        out = bytes(state.assembled)
-        state.assembled.clear()
-        state.drained += len(out)
+        out = state.assembled
+        state.assembled = bytearray()
         self._buffered -= len(out)
         return out
 
@@ -364,17 +358,11 @@ class TcpReassembler:
 
         ``data`` is everything not yet drained: the undrained
         compacted prefix plus the finalize-time walk over remaining
-        out-of-order segments (batch rules, holes jumped).
+        out-of-order segments (holes jumped).
         """
         state = self._flows.pop(flow)
-        tail, complete = self._tail(state)
         self._buffered -= len(state.assembled) + state.pending
-        return ReassembledFlow(
-            flow=flow,
-            data=bytes(state.assembled) + tail,
-            first_timestamp=state.first_timestamp,
-            complete=complete and state.finished,
-        )
+        return self._reassembled(state)
 
     def buffered_bytes(self) -> int:
         """Payload bytes currently held (undrained prefix + pending)."""
@@ -382,16 +370,13 @@ class TcpReassembler:
 
     def flow_ids(self) -> list[FlowId]:
         """Tracked flows in first-seen order."""
-        return list(self._flows)
-
-    def last_activity(self, flow: FlowId) -> float:
-        return self._flows[flow].last_activity
+        return [state.flow for state in self._flows.values()]
 
     def idle_flows(self, now: float, timeout: float) -> list[FlowId]:
         """Flows with no segment for ``timeout`` stream-time seconds."""
         return [
-            flow
-            for flow, state in self._flows.items()
+            state.flow
+            for state in self._flows.values()
             if now - state.last_activity > timeout
         ]
 
@@ -399,7 +384,7 @@ class TcpReassembler:
         """The least recently active flow (byte-budget eviction victim)."""
         if not self._flows:
             return None
-        return min(self._flows, key=lambda flow: self._flows[flow].lru_tick)
+        return min(self._flows.values(), key=lambda state: state.lru_tick).flow
 
     def __len__(self) -> int:
         return len(self._flows)

@@ -128,37 +128,15 @@ def encrypt_stream(plaintext: bytes, session: TlsSession) -> bytes:
     return bytes(out)
 
 
-def iter_records(stream):
-    """Yield (record_type, body) for each TLS record in a byte stream.
-
-    Accepts any bytes-like object; with a ``memoryview`` input, each
-    ``body`` is a zero-copy view into it.
-    """
-    position = 0
-    end = len(stream)
-    while position < end:
-        if position + 5 > end:
-            raise TlsError("truncated TLS record header")
-        record_type, version, length = _RECORD_HEADER.unpack(
-            stream[position : position + 5]
-        )
-        if version != RECORD_VERSION:
-            raise TlsError(f"unexpected TLS version 0x{version:04x}")
-        if position + 5 + length > end:
-            raise TlsError("truncated TLS record body")
-        yield record_type, stream[position + 5 : position + 5 + length]
-        position += 5 + length
-
-
 def scan_records(stream) -> tuple[list[tuple[int, "bytes | memoryview"]], int]:
     """Complete TLS records at the head of ``stream``, plus bytes consumed.
 
-    The incremental-feed sibling of :func:`iter_records`: instead of
-    raising on a truncated trailing record, it stops cleanly before it
-    and reports how far it got, so a streaming caller can drop the
-    consumed prefix and retry once more bytes arrive.  A malformed
-    record header (wrong version) still raises :class:`TlsError` — that
-    is corruption, not an incomplete feed.
+    Accepts any bytes-like object; each ``body`` is a slice of it.  A
+    truncated trailing record is not an error: the scan stops cleanly
+    before it and reports how far it got, so a streaming caller can
+    drop the consumed prefix and retry once more bytes arrive.  A
+    malformed record header (wrong version) raises :class:`TlsError` —
+    that is corruption, not an incomplete feed.
     """
     records: list[tuple[int, "bytes | memoryview"]] = []
     position = 0
@@ -179,10 +157,8 @@ def scan_records(stream) -> tuple[list[tuple[int, "bytes | memoryview"]], int]:
 def decrypt_record(body, session: TlsSession, offset: int) -> bytes:
     """Decrypt one application-data record at its stream ``offset``.
 
-    ``offset`` is the record's index among *all* records of the flow
-    (the counter :func:`decrypt_stream` derives from ``enumerate``), so
-    incremental per-record decryption reproduces the batch keystream
-    exactly.
+    ``offset`` is the record's index among *all* records of the flow,
+    the keystream counter :func:`encrypt_stream` used for it.
     """
     keystream = _keystream(
         session.secret, session.client_random + _U64.pack(offset), len(body)
@@ -193,31 +169,18 @@ def decrypt_record(body, session: TlsSession, offset: int) -> bytes:
 
 
 def decrypt_stream(stream, session: TlsSession) -> bytes:
-    """Recover plaintext from records given the session's secret.
+    """Recover plaintext from a whole record stream.
 
-    Plaintext accumulates into one ``bytearray`` — O(n) in the stream
-    length, however many records it framed.
+    Raises :class:`TlsError` on a malformed or truncated record — on a
+    finished flow, a partial trailing record is corruption.
     """
-    out = bytearray()
-    for offset, (record_type, body) in enumerate(iter_records(stream)):
-        if record_type != RECORD_TYPE_APPDATA:
-            continue
-        out += decrypt_record(body, session, offset)
-    return bytes(out)
-
-
-def looks_like_tls(stream) -> bool:
-    """Cheap sniff used by the post-processor to route flows.
-
-    Matches either a pseudo-ClientHello (``16 03`` handshake magic) or
-    a bare application-data record stream.
-    """
-    if len(stream) >= 2 and bytes(stream[:2]) == b"\x16\x03":
-        return True
-    return (
-        len(stream) >= 5
-        and stream[0] == RECORD_TYPE_APPDATA
-        and _U16.unpack(stream[1:3])[0] == RECORD_VERSION
+    records, consumed = scan_records(stream)
+    if consumed != len(stream):
+        raise TlsError("truncated TLS record")
+    return b"".join(
+        decrypt_record(body, session, offset)
+        for offset, (record_type, body) in enumerate(records)
+        if record_type == RECORD_TYPE_APPDATA
     )
 
 
@@ -301,7 +264,9 @@ def unwrap_hello(stream) -> tuple[ClientHello | None, "bytes | memoryview"]:
     """Split off the pseudo-ClientHello; returns (hello, records).
 
     Accepts any bytes-like stream; the returned record stream is a
-    zero-copy slice of it.
+    slice of it.  A stream too short for the fixed part, or without
+    the handshake magic, has no hello.  A truncated or non-IDNA SNI
+    raises :class:`TlsError`.
     """
     if len(stream) < 36 or bytes(stream[:2]) != b"\x16\x03":
         return None, stream
@@ -309,5 +274,8 @@ def unwrap_hello(stream) -> tuple[ClientHello | None, "bytes | memoryview"]:
     (sni_length,) = _U16.unpack(stream[34:36])
     if len(stream) < 36 + sni_length:
         raise TlsError("truncated ClientHello SNI")
-    sni = bytes(stream[36 : 36 + sni_length]).decode("idna") if sni_length else ""
+    try:
+        sni = bytes(stream[36 : 36 + sni_length]).decode("idna")
+    except UnicodeError as exc:
+        raise TlsError("ClientHello SNI is not IDNA") from exc
     return ClientHello(client_random=client_random, sni=sni), stream[36 + sni_length :]

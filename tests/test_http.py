@@ -8,7 +8,7 @@ from repro.net.http import (
     HttpParseError,
     HttpRequest,
     HttpResponse,
-    parse_request_stream,
+    scan_request_stream,
 )
 from repro.net.url import parse_url
 
@@ -99,9 +99,10 @@ class TestSerialization:
 class TestRequestStream:
     def test_single_request(self):
         stream = make_request(body=b"hello").to_bytes()
-        requests = parse_request_stream(stream)
+        requests, consumed, broken = scan_request_stream(stream)
         assert len(requests) == 1
         assert requests[0].body == b"hello"
+        assert (consumed, broken) == (len(stream), False)
 
     def test_pipelined_requests(self):
         first = make_request(body=b"first")
@@ -110,27 +111,30 @@ class TestRequestStream:
         )
         third = make_request(body=b"third-body")
         stream = first.to_bytes() + second.to_bytes() + third.to_bytes()
-        requests = parse_request_stream(stream)
+        requests, _, _ = scan_request_stream(stream)
         assert [r.method for r in requests] == ["POST", "GET", "POST"]
         assert requests[2].body == b"third-body"
 
     def test_truncated_trailing_request_dropped(self):
         full = make_request(body=b"complete").to_bytes()
         partial = make_request(body=b"this-will-be-cut").to_bytes()[:-5]
-        requests = parse_request_stream(full + partial)
+        requests, consumed, broken = scan_request_stream(full + partial)
         assert len(requests) == 1
         assert requests[0].body == b"complete"
+        assert (consumed, broken) == (len(full), False)
 
     def test_garbage_stream_yields_nothing(self):
-        assert parse_request_stream(b"\x00\x01\x02 not http") == []
+        requests, consumed, broken = scan_request_stream(b"\x00\x01\x02 not http")
+        assert requests == []
+        assert consumed == 0
 
     def test_empty_stream(self):
-        assert parse_request_stream(b"") == []
+        assert scan_request_stream(b"") == ([], 0, False)
 
     @given(st.lists(st.binary(max_size=64), min_size=1, max_size=5))
     def test_n_requests_round_trip(self, bodies):
         stream = b"".join(make_request(body=body).to_bytes() for body in bodies)
-        requests = parse_request_stream(stream)
+        requests, _, _ = scan_request_stream(stream)
         assert [r.body for r in requests] == bodies
 
 

@@ -44,9 +44,8 @@ def reassemble(packets) -> dict[str, tuple[bytes, bool]]:
         except PacketError:
             continue
         reassembler.add_segment(segment)
-    return {
-        str(flow.flow): (flow.data, flow.complete) for flow in reassembler.flows()
-    }
+    flows = [reassembler.pop_flow(flow) for flow in reassembler.flow_ids()]
+    return {str(flow.flow): (flow.data, flow.complete) for flow in flows}
 
 
 class TestProfiles:

@@ -78,6 +78,38 @@ class TestDamagedPcap:
         # parsing — flows survive as zero-request flows, no crash.
         assert decryption.requests == []
 
+    def test_non_idna_sni_counts_flow_undecryptable(self):
+        """A hostile SNI costs its own flow, not the whole capture."""
+        from repro.net.http import HttpRequest
+        from repro.net.tcp import FlowId, segment_request
+        from repro.net.tls import KeyLog, TlsSession, encrypt_stream, wrap_with_hello
+
+        session = TlsSession.derive(b"hostile-sni")
+        keylog = KeyLog()
+        keylog.record(session)
+        request = HttpRequest(method="GET", url=parse_url("https://ok.example.com/a"))
+        records = encrypt_stream(request.to_bytes(), session)
+        hostile = (
+            b"\x16\x03" + session.client_random + struct.pack("!H", 2) + b"\xff\xfe"
+        )
+        pcap = PcapFile()
+        flows = {
+            FlowId("10.0.0.2", 40000, "34.0.0.1", 443): hostile + records,
+            FlowId("10.0.0.2", 40001, "34.0.0.2", 443): wrap_with_hello(
+                records, session, "ok.example.com"
+            ),
+        }
+        for start, (flow, payload) in enumerate(flows.items()):
+            for frame in segment_request(payload, flow, timestamp=float(start)):
+                pcap.append(PcapPacket(timestamp=frame.timestamp, data=frame.to_bytes()))
+        decryption = decrypt_mobile_artifact(pcap, keylog.to_text())
+        assert decryption.flow_count == 2
+        assert decryption.undecryptable_flows == 1
+        assert decryption.opaque == []
+        assert [item.request.url.host for item in decryption.requests] == [
+            "ok.example.com"
+        ]
+
     @given(st.binary(min_size=24, max_size=400))
     @settings(max_examples=30, deadline=None)
     def test_arbitrary_bytes_never_crash_decryption(self, blob):

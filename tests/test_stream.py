@@ -88,7 +88,9 @@ def decryption_fingerprint(decryption):
 
 
 class TestDecoderParity:
-    """Incremental decode == batch decode, trace by trace."""
+    """Default-policy eviction leaves decode output unchanged: the
+    decoder under ``EvictionPolicy()`` == ``decrypt_mobile_artifact``
+    (the same decoder, never evicting), trace by trace."""
 
     def test_clean_captures(self):
         count = 0

@@ -51,7 +51,7 @@ class TestReassembly:
         reassembler = TcpReassembler()
         for frame in frames:
             reassembler.add_frame(frame)
-        return reassembler.flows()
+        return [reassembler.pop_flow(flow) for flow in reassembler.flow_ids()]
 
     def test_in_order(self):
         payload = b"the quick brown fox" * 200
@@ -111,7 +111,7 @@ class TestReassembly:
         assert flows[0].complete
 
     def test_empty_reassembler(self):
-        assert TcpReassembler().flows() == []
+        assert TcpReassembler().flow_ids() == []
 
     def test_len_counts_flows(self):
         reassembler = TcpReassembler()
@@ -166,7 +166,7 @@ def impaired_segments(payload: bytes, seed: int) -> list[TcpSegment]:
 
 
 class TestIncrementalReassembly:
-    """The streaming API (drain_ready/pop_flow) against the batch walk."""
+    """Draining as segments arrive against one pop at the end."""
 
     def run_incremental(self, segments) -> tuple[bytes, bool, "TcpReassembler"]:
         reassembler = TcpReassembler()
@@ -181,7 +181,8 @@ class TestIncrementalReassembly:
         reassembler = TcpReassembler()
         for item in segments:
             reassembler.add_segment(item)
-        (flow,) = reassembler.flows()
+        (flow_id,) = reassembler.flow_ids()
+        flow = reassembler.pop_flow(flow_id)
         return flow.data, flow.complete
 
     @settings(max_examples=40, deadline=None)

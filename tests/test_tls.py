@@ -3,20 +3,31 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.capture.decrypt import decrypt_mobile_artifact
+from repro.net.pcap import PcapFile, PcapPacket
+from repro.net.tcp import FlowId, segment_request
 from repro.net.tls import (
     KeyLog,
     TlsError,
     TlsSession,
     decrypt_stream,
     encrypt_stream,
-    iter_records,
-    looks_like_tls,
+    scan_records,
     unwrap_hello,
     wrap_with_hello,
 )
 
 SESSION = TlsSession.derive(b"test-session")
 OTHER = TlsSession.derive(b"other-session")
+FLOW = FlowId(client_ip="10.0.0.1", client_port=40000, server_ip="34.0.0.1", server_port=443)
+
+
+def decode_flow(payload: bytes, keylog: KeyLog):
+    """Decode one client→server flow carrying ``payload``."""
+    pcap = PcapFile()
+    for frame in segment_request(payload, FLOW, timestamp=1.0):
+        pcap.append(PcapPacket(timestamp=frame.timestamp, data=frame.to_bytes()))
+    return decrypt_mobile_artifact(pcap, keylog)
 
 
 class TestSession:
@@ -42,14 +53,19 @@ class TestRecords:
     def test_large_payload_multiple_records(self):
         plaintext = b"A" * 40_000  # > MAX_RECORD_LEN
         stream = encrypt_stream(plaintext, SESSION)
-        records = list(iter_records(stream))
+        records, _ = scan_records(stream)
         assert len(records) == 3
         assert decrypt_stream(stream, SESSION) == plaintext
 
     def test_truncated_record_raises(self):
         stream = encrypt_stream(b"hello", SESSION)
         with pytest.raises(TlsError):
-            list(iter_records(stream[:-2]))
+            decrypt_stream(stream[:-2], SESSION)
+        # Mid-feed, a partial trailing record just waits for more bytes,
+        # while a record header with the wrong version is corruption.
+        assert scan_records(stream[:-2]) == ([], 0)
+        with pytest.raises(TlsError):
+            scan_records(b"\x17\x03\x01" + stream[3:])
 
     def test_empty_stream(self):
         assert decrypt_stream(b"", SESSION) == b""
@@ -84,11 +100,23 @@ class TestHello:
         assert hello is None
         assert rest == b"GET / HTTP/1.1\r\n"
 
+    def test_unwrap_rejects_truncated_and_non_idna_sni(self):
+        prefix = b"\x16\x03" + SESSION.client_random + b"\x00\x02"
+        with pytest.raises(TlsError, match="truncated"):
+            unwrap_hello(prefix + b"a")
+        with pytest.raises(TlsError, match="IDNA"):
+            unwrap_hello(prefix + b"\xff\xfe")
+
     def test_looks_like_tls(self):
+        # The decoder routes a flow by its first bytes: hello magic or
+        # bare application-data records are TLS, anything else is HTTP.
+        keylog = KeyLog()
+        keylog.record(SESSION)
         wrapped = wrap_with_hello(encrypt_stream(b"x", SESSION), SESSION, "h")
-        assert looks_like_tls(wrapped)
-        assert looks_like_tls(encrypt_stream(b"x", SESSION))
-        assert not looks_like_tls(b"POST /api HTTP/1.1\r\n")
+        assert decode_flow(wrapped, KeyLog()).undecryptable_flows == 1
+        assert decode_flow(encrypt_stream(b"x", SESSION), keylog).undecryptable_flows == 1
+        plain = decode_flow(b"POST /api HTTP/1.1\r\n", KeyLog())
+        assert plain.undecryptable_flows == 0
 
 
 class TestKeyLog:
